@@ -50,11 +50,9 @@ AcResult run_ac_diag(ckt::Netlist& nl,
   nl.assign_unknowns();
 
   const std::size_t nf = freqs_hz.size();
-  // Serial priming: make sure the netlist cache carries a recorded
-  // stamp_ac slot pass before the chunk workers start, so every worker
-  // (and every later run adopting this cache) assembles search-free.
-  if (nf > 0)
-    prime_ac_slots(nl, opt.solver, 2.0 * M_PI * freqs_hz[0], opt.gshunt);
+  // Serial: split the small-signal system into G + jwC once; the chunk
+  // workers below share it read-only and form each point from it.
+  const AcSplit split = split_ac(nl, opt.solver, opt.gshunt);
   int threads = opt.threads == 0 ? core::default_thread_count()
                                  : std::max(1, opt.threads);
   const std::size_t nchunks =
@@ -86,7 +84,7 @@ AcResult run_ac_diag(ckt::Netlist& nl,
         const std::size_t hi = nf * (c + 1) / nchunks;
         if (lo >= hi) return;
         ComplexSystem sys;
-        sys.init(nl, opt.solver);
+        sys.init(nl, split);
         for (std::size_t i = lo; i < hi; ++i) {
           if (opt.budget) {
             const core::StopReason stop = opt.budget->stop_reason();
@@ -99,7 +97,7 @@ AcResult run_ac_diag(ckt::Netlist& nl,
             }
             opt.budget->note_step();
           }
-          sys.assemble(nl, 2.0 * M_PI * freqs_hz[i], opt.gshunt);
+          sys.assemble(2.0 * M_PI * freqs_hz[i]);
           if (!sys.factor()) {
             fails[c] = {i, sys.singular_col(), freqs_hz[i],
                         SolveStatus::kSingularMatrix};

@@ -225,17 +225,6 @@ void assemble_ac(const ckt::Netlist& nl, double omega, double gshunt,
   for (int i = 0; i < nodes; ++i) jac(i, i) += gshunt;
 }
 
-void assemble_ac(const ckt::Netlist& nl, double omega, double gshunt,
-                 num::ComplexSparseMatrix& jac, num::ComplexVector& rhs) {
-  jac.clear_values();
-  rhs.assign(static_cast<std::size_t>(nl.unknown_count()), {0.0, 0.0});
-
-  ckt::AcStampContext ctx(omega, jac, rhs);
-  for (const auto& d : nl.devices()) d->stamp_ac(ctx);
-
-  add_gshunt_diag(nl, jac, gshunt);
-}
-
 void RealSystem::init(const ckt::Netlist& nl, SolverKind kind) {
   const int n = nl.unknown_count();
   const std::size_t ndev = nl.devices().size();
@@ -1086,120 +1075,111 @@ void EnsembleSystem::update(const int* active, int nactive, const bool* fresh,
   im.stats.solve_ns += im.solve_clock.end_ns();
 }
 
-void ComplexSystem::init(const ckt::Netlist& nl, SolverKind kind) {
+AcSplit split_ac(const ckt::Netlist& nl, SolverKind kind, double gshunt) {
+  AcSplit split;
+  split.kind = kind;
+  split.gshunt = gshunt;
+  if (kind != SolverKind::kSparse) return split;
+  // Adopt the structural work of the large-signal system (the usual
+  // case: AC/noise run after solve_op).
   const int n = nl.unknown_count();
   const std::size_t ndev = nl.devices().size();
-  if (kind == kind_ && n == n_ && ndev == devices_) return;
-  kind_ = kind;
-  n_ = n;
-  devices_ = ndev;
-  ac_pass_ = num::StampSlotPass{};
-  ac_diag_.clear();
-  ac_shared_.reset();
-  if (kind_ == SolverKind::kSparse) {
-    // Adopt the structural work already done by the large-signal system
-    // (the usual case: AC/noise run after solve_op).  Never writes the
-    // cache: parallel frequency chunks init concurrently and must stay
-    // read-only.
-    const auto& cache = nl.solver_cache();
-    slu_.reset();
-    if (cache.skeleton && cache.unknowns == n && cache.devices == ndev) {
-      sjac_ = num::ComplexSparseMatrix(*cache.skeleton);
-      if (cache.symbolic) slu_.adopt_symbolic(cache.symbolic);
-      // Adopt the cached slot snapshot when it matches this skeleton:
-      // the node-diagonal indices transfer verbatim, and a recorded
-      // stamp_ac pass (published by a serial prime_ac_slots) makes even
-      // the FIRST assemble a search-free replay.
-      if (cache.slots && cache.slots->skeleton == cache.skeleton.get() &&
-          cache.slots->nnz == sjac_.nnz()) {
-        ac_shared_ = cache.slots;
-        ac_diag_ = ac_shared_->diag;
-      }
-    } else {
-      sjac_ = num::ComplexSparseMatrix(
-          num::RealSparseMatrix(mna_pattern(nl)));
-    }
-    // Node-diagonal slots for the gshunt loop (when not adopted above).
-    // The stamp-slot pass itself is recorded lazily by the first
-    // assemble(): stamp_ac positions are frequency-independent, so one
-    // recording serves the whole grid chunk.
-    const int nodes = nl.node_count() - 1;
-    if (static_cast<int>(ac_diag_.size()) != nodes) {
-      ac_diag_.resize(static_cast<std::size_t>(nodes));
-      for (int i = 0; i < nodes; ++i) {
-        ac_diag_[static_cast<std::size_t>(i)] = sjac_.find_index(i, i);
-        if (ac_diag_[static_cast<std::size_t>(i)] < 0) {
-          ac_diag_.clear();
-          break;
-        }
-      }
-    }
+  auto& cache = nl.solver_cache();
+  const bool cached = cache.skeleton && cache.unknowns == n &&
+                      cache.devices == ndev &&
+                      cache.structure_rev == nl.structure_revision();
+  if (cached) {
+    split.skeleton = cache.skeleton;
+    split.symbolic = cache.symbolic;
   } else {
-    djac_.resize(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
+    split.skeleton =
+        std::make_shared<const num::RealSparseMatrix>(mna_pattern(nl));
+  }
+  // One stamp_ac pass at omega = 1: every real part is G, every
+  // imaginary part is 1 * C exactly (the stamp_ac contract).
+  num::ComplexSparseMatrix a(*split.skeleton);
+  split.rhs.assign(static_cast<std::size_t>(n), {0.0, 0.0});
+  ckt::AcStampContext ctx(1.0, a, split.rhs);
+  const auto& devs = nl.devices();
+  const num::StampSlotTables* t =
+      cached && cache.slots && cache.slots->skeleton == cache.skeleton.get()
+          ? cache.slots.get()
+          : nullptr;
+  bool replayed = false;
+  if (t && t->ac.recorded && t->ac.windows.size() == devs.size()) {
+    replayed = true;
+    for (std::size_t i = 0; i < devs.size(); ++i) {
+      const auto [b, e] = t->ac.windows[i];
+      ctx.arm_slot_replay(t->ac.slots.data() + b, e - b);
+      devs[i]->stamp_ac(ctx);
+      if (!ctx.finish_slot_replay()) replayed = false;
+    }
+  }
+  if (!replayed) {
+    // No recorded pass, or a device's writes diverged from it: one
+    // searched, recording pass from scratch.
+    a.clear_values();
+    split.rhs.assign(static_cast<std::size_t>(n), {0.0, 0.0});
+    num::StampSlotPass pass;
+    pass.windows.reserve(devs.size());
+    ctx.arm_slot_record(&pass.slots);
+    for (const auto& d : devs) {
+      const int b = static_cast<int>(pass.slots.size());
+      d->stamp_ac(ctx);
+      pass.windows.emplace_back(b, static_cast<int>(pass.slots.size()));
+    }
+    pass.recorded = true;
+    if (cached) {
+      // Copy-on-write: concurrent readers (MC workers holding adopted
+      // shared_ptrs) may be replaying the published snapshot.  The new
+      // snapshot keeps every large-signal pass already there.
+      auto nt = t ? std::make_shared<num::StampSlotTables>(*t)
+                  : std::make_shared<num::StampSlotTables>();
+      nt->skeleton = cache.skeleton.get();
+      nt->nnz = a.nnz();
+      nt->ac = std::move(pass);
+      cache.slots = std::move(nt);
+    }
+  }
+  add_gshunt_diag(nl, a, gshunt);
+  const auto& v = a.values();
+  split.g.resize(v.size());
+  split.c.resize(v.size());
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    split.g[k] = v[k].real();
+    split.c[k] = v[k].imag();
+  }
+  return split;
+}
+
+void ComplexSystem::init(const ckt::Netlist& nl, const AcSplit& split) {
+  nl_ = &nl;
+  split_ = &split;
+  if (split.kind == SolverKind::kSparse) {
+    sjac_ = num::ComplexSparseMatrix(*split.skeleton);
+    slu_.reset();
+    if (split.symbolic) slu_.adopt_symbolic(split.symbolic);
+  } else {
+    const auto n = static_cast<std::size_t>(nl.unknown_count());
+    djac_.resize(n, n);
   }
 }
 
-void ComplexSystem::assemble(const ckt::Netlist& nl, double omega,
-                             double gshunt) {
-  if (kind_ != SolverKind::kSparse) {
-    assemble_ac(nl, omega, gshunt, djac_, rhs_);
+void ComplexSystem::assemble(double omega) {
+  if (split_->kind != SolverKind::kSparse) {
+    assemble_ac(*nl_, omega, split_->gshunt, djac_, rhs_);
     return;
   }
-  sjac_.clear_values();
-  rhs_.assign(static_cast<std::size_t>(n_), {0.0, 0.0});
-  ckt::AcStampContext ctx(omega, sjac_, rhs_);
-  const auto& devs = nl.devices();
-  // Replay source: the adopted shared snapshot when it carries a
-  // recorded pass, else this system's own recording.
-  const num::StampSlotPass* rp = nullptr;
-  if (ac_shared_ && ac_shared_->ac.recorded &&
-      ac_shared_->ac.windows.size() == devs.size())
-    rp = &ac_shared_->ac;
-  else if (ac_pass_.recorded && ac_pass_.windows.size() == devs.size())
-    rp = &ac_pass_;
-  if (rp) {
-    bool ok = true;
-    for (std::size_t i = 0; i < devs.size(); ++i) {
-      const auto [b, e] = rp->windows[i];
-      ctx.arm_slot_replay(rp->slots.data() + b, e - b);
-      devs[i]->stamp_ac(ctx);
-      if (!ctx.finish_slot_replay()) ok = false;
-    }
-    if (!ok) {
-      // A device's write sequence diverged from the table (mismatched
-      // writes fell back to the searched path, so the matrix above is
-      // still correct).  Drop the stale source and re-record locally on
-      // the next point; the shared snapshot stays untouched.
-      ac_shared_.reset();
-      ac_pass_.recorded = false;
-    }
-  } else {
-    ac_pass_.slots.clear();
-    ac_pass_.windows.clear();
-    ac_pass_.windows.reserve(devs.size());
-    ctx.arm_slot_record(&ac_pass_.slots);
-    for (const auto& d : devs) {
-      const int b = static_cast<int>(ac_pass_.slots.size());
-      d->stamp_ac(ctx);
-      ac_pass_.windows.emplace_back(b,
-                                    static_cast<int>(ac_pass_.slots.size()));
-    }
-    ac_pass_.recorded = true;
-  }
-  const int nodes = nl.node_count() - 1;
-  if (static_cast<int>(ac_diag_.size()) == nodes) {
-    auto& vals = sjac_.values();
-    for (int i = 0; i < nodes; ++i)
-      vals[static_cast<std::size_t>(
-          ac_diag_[static_cast<std::size_t>(i)])] += gshunt;
-  } else {
-    for (int i = 0; i < nodes; ++i) sjac_.add(i, i, gshunt);
-  }
+  auto& vals = sjac_.values();
+  const double* g = split_->g.data();
+  const double* c = split_->c.data();
+  for (std::size_t k = 0; k < vals.size(); ++k) vals[k] = {g[k], omega * c[k]};
+  rhs_ = split_->rhs;
 }
 
 bool ComplexSystem::factor() {
   g_factor_calls.fetch_add(1, std::memory_order_relaxed);
-  if (kind_ == SolverKind::kSparse) {
+  if (split_->kind == SolverKind::kSparse) {
     slu_.factor(sjac_);
     return !slu_.singular();
   }
@@ -1208,16 +1188,17 @@ bool ComplexSystem::factor() {
 }
 
 int ComplexSystem::singular_col() const {
-  return kind_ == SolverKind::kSparse ? slu_.singular_col()
-                                      : dlu_.singular_col();
+  return split_->kind == SolverKind::kSparse ? slu_.singular_col()
+                                             : dlu_.singular_col();
 }
 
 double ComplexSystem::min_pivot() const {
-  return kind_ == SolverKind::kSparse ? slu_.min_pivot() : dlu_.min_pivot();
+  return split_->kind == SolverKind::kSparse ? slu_.min_pivot()
+                                             : dlu_.min_pivot();
 }
 
 void ComplexSystem::solve(num::ComplexVector& x) {
-  if (kind_ == SolverKind::kSparse)
+  if (split_->kind == SolverKind::kSparse)
     slu_.solve(rhs_, x);
   else
     dlu_.solve(rhs_, x);
@@ -1225,47 +1206,10 @@ void ComplexSystem::solve(num::ComplexVector& x) {
 
 void ComplexSystem::solve_transpose(const num::ComplexVector& b,
                                     num::ComplexVector& x) {
-  if (kind_ == SolverKind::kSparse)
+  if (split_->kind == SolverKind::kSparse)
     slu_.solve_transpose(b, x);
   else
     dlu_.solve_transpose(b, x);
-}
-
-void ComplexSystem::publish_ac(const ckt::Netlist& nl) const {
-  if (kind_ != SolverKind::kSparse || !ac_pass_.recorded) return;
-  auto& cache = nl.solver_cache();
-  // Only publish when this system's matrix was built FROM the cache
-  // skeleton (init() guarantees that whenever the counts matched), so
-  // the recorded value indices transfer verbatim.
-  if (!cache.skeleton || cache.unknowns != n_ || cache.devices != devices_ ||
-      cache.skeleton->nnz() != sjac_.nnz())
-    return;
-  // Copy-on-write: never mutate the published snapshot -- concurrent
-  // readers (MC workers holding adopted shared_ptrs) may be replaying
-  // it.  The new snapshot keeps every large-signal pass already there.
-  auto t = cache.slots && cache.slots->skeleton == cache.skeleton.get() &&
-                   cache.slots->nnz == sjac_.nnz()
-               ? std::make_shared<num::StampSlotTables>(*cache.slots)
-               : std::make_shared<num::StampSlotTables>();
-  t->skeleton = cache.skeleton.get();
-  t->nnz = sjac_.nnz();
-  t->ac = ac_pass_;
-  if (t->diag.empty() && !ac_diag_.empty()) t->diag = ac_diag_;
-  cache.slots = std::move(t);
-}
-
-void prime_ac_slots(const ckt::Netlist& nl, SolverKind kind, double omega,
-                    double gshunt) {
-  if (kind != SolverKind::kSparse) return;
-  const auto& cache = nl.solver_cache();
-  if (cache.skeleton && cache.slots &&
-      cache.slots->skeleton == cache.skeleton.get() &&
-      cache.slots->ac.recorded)
-    return;  // already published (this process or an adopted registry entry)
-  ComplexSystem sys;
-  sys.init(nl, kind);
-  sys.assemble(nl, omega, gshunt);
-  sys.publish_ac(nl);
 }
 
 }  // namespace msim::an

@@ -103,12 +103,11 @@ void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
                    const AssembleParams& p, num::RealSparseMatrix& jac,
                    num::RealVector& rhs);
 
-// Builds the complex small-signal system at angular frequency omega.
-// Devices must have a saved operating point (save_op()).
+// Builds the complex small-signal system at angular frequency omega by
+// a direct stamp_ac pass over every device (the dense reference path of
+// ComplexSystem).  Devices must have a saved operating point (save_op()).
 void assemble_ac(const ckt::Netlist& nl, double omega, double gshunt,
                  num::ComplexMatrix& jac, num::ComplexVector& rhs);
-void assemble_ac(const ckt::Netlist& nl, double omega, double gshunt,
-                 num::ComplexSparseMatrix& jac, num::ComplexVector& rhs);
 
 // Reusable workspace for the large-signal Newton systems: one matrix
 // (dense or sparse by SolverKind), one factorization whose symbolic
@@ -346,17 +345,42 @@ class EnsembleSystem {
   std::unique_ptr<Impl> impl_;
 };
 
-// Reusable workspace for the small-signal complex systems (AC, noise).
+// The small-signal system of a netlist at its saved operating point,
+// split once per analysis as  A(omega) = G + j*omega*C  with an
+// omega-independent excitation `rhs` (exact under the Device::stamp_ac
+// contract).  Sparse engine: `g` and `c` hold one value per slot of
+// `skeleton` -- the netlist's shared CSR whenever its solver cache has
+// one -- so a frequency point forms values[k] = {g[k], omega * c[k]}
+// with no device pass.  Dense engine: only `kind` and `gshunt` are set
+// and every point stamps directly (the reference path).  AC/noise chunk
+// workers share one split read-only.
+struct AcSplit {
+  SolverKind kind = SolverKind::kSparse;
+  double gshunt = 0.0;
+  std::shared_ptr<const num::RealSparseMatrix> skeleton;
+  std::shared_ptr<const num::SparseSymbolic> symbolic;  // may be null
+  std::vector<double> g, c;
+  num::ComplexVector rhs;
+};
+
+// Builds the split.  Sparse: one stamp_ac pass at omega = 1, replaying
+// the netlist cache's recorded AC slot pass when present, else
+// recording it and publishing it copy-on-write, so later analyses --
+// and later jobs adopting the cache through the serve registry --
+// assemble search-free.  Serial path only: may write the netlist's
+// solver cache, so never call it while chunk workers run over `nl`.
+AcSplit split_ac(const ckt::Netlist& nl, SolverKind kind, double gshunt);
+
+// Per-worker small-signal workspace (AC, noise): one matrix, one
+// factorization whose symbolic analysis persists across frequency
+// points, and the rhs buffer.
 class ComplexSystem {
  public:
-  void init(const ckt::Netlist& nl, SolverKind kind);
-
-  void assemble(const ckt::Netlist& nl, double omega, double gshunt);
-  // Publishes this system's locally recorded stamp_ac pass into the
-  // netlist's solver cache (copy-on-write StampSlotTables snapshot; see
-  // prime_ac_slots).  Serial-path only: never call while parallel
-  // frequency workers hold systems over the same netlist.
-  void publish_ac(const ckt::Netlist& nl) const;
+  // Binds the system to `split` over `nl`; both must outlive it.
+  void init(const ckt::Netlist& nl, const AcSplit& split);
+  // Forms A(omega) and the excitation: from the split on the sparse
+  // engine, by a direct stamp_ac pass on the dense one.
+  void assemble(double omega);
   bool factor();
   int singular_col() const;
   double min_pivot() const;
@@ -364,42 +388,14 @@ class ComplexSystem {
   // Adjoint solve A^T x = b (noise analysis).
   void solve_transpose(const num::ComplexVector& b, num::ComplexVector& x);
 
-  num::ComplexVector& rhs() { return rhs_; }
-  SolverKind kind() const { return kind_; }
-  // Read-only view of the assembled sparse system (tests).
-  const num::ComplexSparseMatrix& sparse_jac() const { return sjac_; }
-
  private:
-  SolverKind kind_ = SolverKind::kSparse;
-  int n_ = -1;
-  std::size_t devices_ = 0;
+  const ckt::Netlist* nl_ = nullptr;
+  const AcSplit* split_ = nullptr;
   num::ComplexMatrix djac_;
   num::ComplexLu dlu_;
   num::ComplexSparseMatrix sjac_;
   num::ComplexSparseLu slu_;
   num::ComplexVector rhs_;
-  // Stamp-slot state (sparse path).  `ac_shared_` is an immutable
-  // snapshot adopted from the netlist cache when it already carries a
-  // recorded stamp_ac pass (published by a previous serial
-  // prime_ac_slots over this topology, possibly through the serve
-  // registry): warm systems replay it read-only from their very first
-  // assemble, so parallel chunk workers do zero pattern searches.
-  // Otherwise the first assemble records into the LOCAL `ac_pass_`;
-  // the cache itself is only ever written from the serial driver path
-  // (publish_ac), never from chunk workers.
-  std::shared_ptr<const num::StampSlotTables> ac_shared_;
-  num::StampSlotPass ac_pass_;
-  std::vector<int> ac_diag_;
 };
-
-// Ensures the netlist's solver cache carries a recorded stamp_ac slot
-// pass: when it is missing, one ComplexSystem is primed serially (a
-// single searched assembly at `omega`) and its pass published
-// copy-on-write.  run_ac_diag / run_noise_diag call this before their
-// parallel frequency chunks so every worker -- and every later job
-// adopting the cache -- assembles search-free.  No-op for the dense
-// engine or when the pass is already cached.
-void prime_ac_slots(const ckt::Netlist& nl, SolverKind kind, double omega,
-                    double gshunt);
 
 }  // namespace msim::an

@@ -114,11 +114,9 @@ NoiseResult run_noise_diag(ckt::Netlist& nl,
 
   const std::size_t n = static_cast<std::size_t>(nl.unknown_count());
   const std::size_t nf = freqs_hz.size();
-  // Serial priming of the shared stamp_ac slot pass (see run_ac_diag):
-  // chunk workers below then replay it search-free from their first
-  // assembly.
-  if (nf > 0)
-    prime_ac_slots(nl, opt.solver, 2.0 * M_PI * freqs_hz[0], opt.gshunt);
+  // Serial G + jwC split (see run_ac_diag), shared read-only by the
+  // chunk workers below.
+  const AcSplit split = split_ac(nl, opt.solver, opt.gshunt);
   int threads = opt.threads == 0 ? core::default_thread_count()
                                  : std::max(1, opt.threads);
   const std::size_t nchunks =
@@ -150,7 +148,7 @@ NoiseResult run_noise_diag(ckt::Netlist& nl,
         const std::size_t hi = nf * (c + 1) / nchunks;
         if (lo >= hi) return;
         ComplexSystem sys;
-        sys.init(nl, opt.solver);
+        sys.init(nl, split);
         num::ComplexVector x, y, e;
         for (std::size_t k = lo; k < hi; ++k) {
           const double f = freqs_hz[k];
@@ -167,7 +165,7 @@ NoiseResult run_noise_diag(ckt::Netlist& nl,
             opt.budget->note_step();
             pd.failed = false;  // clear any chunk-start marker
           }
-          sys.assemble(nl, 2.0 * M_PI * f, opt.gshunt);
+          sys.assemble(2.0 * M_PI * f);
           if (!sys.factor()) {
             pd.failed = true;
             pd.status = SolveStatus::kSingularMatrix;

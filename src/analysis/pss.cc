@@ -101,22 +101,25 @@ class PhiPropagator final : public TranStepHook {
   // dt/2: every dt-independent stamp (resistive, nonlinear, gshunt,
   // source) cancels bit-exactly, leaving geq(dt/2) - geq(dt) = geq(dt)
   // on the cap pattern (and -2L/dt on inductor branch diagonals) --
-  // i.e. M itself, with no per-device sensitivity code anywhere.
+  // i.e. M itself, with no per-device sensitivity code anywhere.  Both
+  // assemblies run through a RealSystem over the netlist's cached
+  // skeleton and stamp-slot tables (the transient loop has recorded the
+  // transient passes by the first accepted step), so a warm job builds
+  // M without a single pattern search.
   void build(const ckt::Netlist& nl, const num::RealVector& x,
              const AssembleParams& p) {
-    const num::SparsityPattern pat = mna_pattern(nl);
-    num::RealSparseMatrix a(pat), b(pat);
-    num::RealVector rhs_scratch;
+    RealSystem sys;
+    sys.init(nl, SolverKind::kSparse);
     AssembleParams pa = p;
     pa.dt = dt_base_;
     pa.use_trapezoidal = true;
-    assemble_real(nl, x, pa, a, rhs_scratch);
+    sys.assemble(nl, x, pa);
+    m_ = sys.sparse_jac();
     AssembleParams pb = pa;
     pb.dt = 0.5 * dt_base_;
-    assemble_real(nl, x, pb, b, rhs_scratch);
-    m_ = std::move(a);
+    sys.assemble(nl, x, pb);
     auto& mv = m_.values();
-    const auto& bv = b.values();
+    const auto& bv = sys.sparse_jac().values();
     for (std::size_t k = 0; k < mv.size(); ++k) mv[k] = bv[k] - mv[k];
     n_ = m_.rows();
 

@@ -276,8 +276,9 @@ class AcStampContext {
 
   // Slot recording / replay: same contract as StampContext (sparse
   // target only; a mismatched write degrades to the searched path).
-  // AC stamps are frequency-dependent in VALUE but not in POSITION, so
-  // the per-frequency loop records once and replays every later point.
+  // AC write positions do not depend on frequency, so an::split_ac
+  // records the pass once per topology and replays it on every later
+  // analysis over the cache.
   void arm_slot_record(std::vector<num::StampSlot>* out) {
     if (sparse_) slot_record_ = out;
   }
@@ -428,6 +429,15 @@ class Device {
   virtual void save_op(const num::RealVector& /*x*/, double /*temp_k*/) {}
 
   // Small-signal stamping around the saved operating point.
+  //
+  // Contract: every Jacobian write is affine in omega with a real
+  // constant and an imaginary slope -- a real value (conductance,
+  // transconductance, gain), j*omega*C, or -j*omega*L -- and every rhs
+  // write is independent of omega, with the write positions fixed.
+  // AC and noise sweeps rely on it: an::split_ac stamps once at
+  // omega = 1 and forms each frequency point as G + j*omega*C without
+  // calling stamp_ac again.  tests/test_assembly.cc (AcSplitContract)
+  // checks it for every device class.
   virtual void stamp_ac(AcStampContext& ctx) const = 0;
 
   // Appends this device's noise sources (evaluated at the saved OP).

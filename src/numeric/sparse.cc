@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 namespace msim::num {
 
@@ -24,6 +25,17 @@ namespace {
 
 double magnitude(double v) { return std::abs(v); }
 double magnitude(const std::complex<double>& v) { return std::abs(v); }
+
+// Magnitude measure of refactor()'s health probes.  The real path keeps
+// |v|; the complex path compares |v|^2 (std::norm: two multiplies and an
+// add) instead of paying a hypot per entry and per pivot, and takes one
+// sqrt per probe when the row loop ends.  Monotone in |v|, so the
+// comparisons (the floor verdict included) agree with the hypot-based
+// ones except within rounding of a tie; the squared measure only
+// overflows for |v| > ~1e154, far outside MNA conductance and
+// susceptance ranges.
+double probe_measure(double v) { return std::abs(v); }
+double probe_measure(const std::complex<double>& v) { return std::norm(v); }
 
 // Pivots below this absolute value are treated as structural zeros
 // (matches the dense Lu's floor so diagnoses agree across solvers).
@@ -310,14 +322,25 @@ bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
   const auto& l_cols_ = sym_->l_cols;
   const auto& u_ptr_ = sym_->u_ptr;
   const auto& u_cols_ = sym_->u_cols;
+  // Probes run in probe_measure() units (squared on the complex path)
+  // and are converted back to magnitudes once, however the loop ends.
+  constexpr bool squared = !std::is_same_v<T, double>;
+  const double floor = squared ? kPivotFloor * kPivotFloor : kPivotFloor;
   min_pivot_ = n_ ? 1e300 : 0.0;
   max_pivot_ = 0.0;
   // Largest input magnitude, the denominator of the pivot-growth probe.
   a_max_ = 0.0;
   for (const T& v : vs) {
-    const double m = magnitude(v);
+    const double m = probe_measure(v);
     if (m > a_max_) a_max_ = m;
   }
+  if constexpr (squared) a_max_ = std::sqrt(a_max_);
+  auto finish_probes = [&] {
+    if constexpr (squared) {
+      min_pivot_ = std::sqrt(min_pivot_);
+      max_pivot_ = std::sqrt(max_pivot_);
+    }
+  };
 
   for (int i = 0; i < n_; ++i) {
     // Clear the row's full fill pattern, then scatter the source row.
@@ -356,15 +379,17 @@ bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
       u_vals_[static_cast<std::size_t>(k)] =
           work_[static_cast<std::size_t>(u_cols_[static_cast<std::size_t>(k)])];
 
-    const double piv = magnitude(
+    const double piv = probe_measure(
         u_vals_[static_cast<std::size_t>(u_ptr_[static_cast<std::size_t>(i)])]);
-    if (piv < kPivotFloor) {
+    if (piv < floor) {
       singular_col_ = colperm_[static_cast<std::size_t>(i)];
+      finish_probes();
       return false;
     }
     if (piv < min_pivot_) min_pivot_ = piv;
     if (piv > max_pivot_) max_pivot_ = piv;
   }
+  finish_probes();
   return true;
 }
 

@@ -307,10 +307,10 @@ struct StampSlotTables {
   StampSlotPass base_dcop, base_tran;      // linear devices
   StampSlotPass newton_dcop, newton_tran;  // nonlinear devices
   // Small-signal pass (every device's stamp_ac writes, one window per
-  // device).  Recorded by a ComplexSystem on the serial driver path and
-  // published here so parallel AC/noise chunk workers -- and, through
-  // the serve-layer cache registry, later processes' jobs over the same
-  // topology -- replay it read-only from their very first assembly.
+  // device).  Recorded by an::split_ac on the serial analysis path and
+  // published here so later AC/noise analyses -- and, through the
+  // serve-layer cache registry, later jobs over the same topology --
+  // build their G + jwC split without a pattern search.
   StampSlotPass ac;
   std::vector<int> diag;                   // node rows only
 };

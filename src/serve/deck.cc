@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -195,14 +196,29 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
                                   : (cli.budget_ms > 0.0 ? &local_budget
                                                          : nullptr);
 
+  an::OpOptions op_opt;
+  op_opt.temp_k = temp_k;
+  op_opt.budget = budget_p;
+  // One operating point serves every .op/.ac/.noise directive of the
+  // deck: those leave device state exactly as solve_op's save_op left
+  // it, so each sees the OP a single-directive deck would solve.  Any
+  // other directive drops it (.dc moves a source and re-saves the OP at
+  // every sweep point, .tran/PSS advance integration history, MC solves
+  // perturbed copies).
+  std::optional<an::OpResult> shared_op;
+  auto operating_point = [&]() -> const an::OpResult& {
+    if (!shared_op) shared_op = an::solve_op(nl, op_opt);
+    return *shared_op;
+  };
+
   for (const auto& d : parsed.directives) {
     out.fmt("* .%s", d.kind.c_str());
     for (const auto& a : d.args) out.fmt(" %s", a.c_str());
     out.fmt("  (T = %.1f C)\n", parsed.temp_c);
 
-    an::OpOptions op_opt;
-    op_opt.temp_k = temp_k;
-    op_opt.budget = budget_p;
+    if (!((d.kind == "op" && cli.mc <= 1) || d.kind == "ac" ||
+          d.kind == "noise"))
+      shared_op.reset();
 
     if (d.kind == "op" && cli.mc > 1) {
       // Monte-Carlo job: N samples of the deck's operating point with a
@@ -217,7 +233,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       num::Rng rng(cli.mc_seed);
       an::McOptions mo;
       mo.budget = budget_p;
-      std::atomic<bool> first{true};
+      std::atomic<const ckt::Netlist*> primer{nullptr};
       const auto stats = an::monte_carlo_shared(
           cli.mc, rng,
           [&](num::Rng& r, ckt::Netlist& snl) {
@@ -231,13 +247,19 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
             // The serial sample-0 build adopts the registry structure;
             // every other sample inherits it through the MC driver's
             // own sample-0 adoption.
-            if (registry && first.exchange(false)) {
+            const ckt::Netlist* none = nullptr;
+            if (registry && primer.compare_exchange_strong(none, &snl)) {
               if (registry->adopt_into(snl).warm) warm = true;
             }
           },
           [&](ckt::Netlist& snl) {
             an::OpOptions o = op_opt;
             const auto op = an::solve_op(snl, o);
+            // Only the samples solve, never the parent netlist, so the
+            // structure sample 0 built is what the registry keeps for
+            // the next job over this topology.
+            if (primer.load() == &snl)
+              registry->publish_from(snl, publish.lint_clean);
             if (!op.converged) return an::McTrial::failed(op.diag);
             return an::McTrial::of(op.v(probes[0]));
           },
@@ -253,7 +275,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
         return 4;
       }
     } else if (d.kind == "op") {
-      const auto op = an::solve_op(nl, op_opt);
+      const an::OpResult& op = operating_point();
       if (!op.converged) {
         err.fmt("operating point failed: %s\n", op.diag.message().c_str());
         return 1;
@@ -302,7 +324,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       // .ac dec N fstart fstop
       const int ppd = static_cast<int>(arg_num(d, 1));
       const double f1 = arg_num(d, 2), f2 = arg_num(d, 3);
-      const auto op = an::solve_op(nl, op_opt);
+      const an::OpResult& op = operating_point();
       if (!op.converged) {
         err.fmt("operating point failed: %s\n", op.diag.message().c_str());
         return 1;
@@ -415,7 +437,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       if (d.args.size() < 6)
         throw std::runtime_error(
             ".noise out_node input_src dec N fstart fstop");
-      const auto op = an::solve_op(nl, op_opt);
+      const an::OpResult& op = operating_point();
       if (!op.converged) {
         err.fmt("operating point failed: %s\n", op.diag.message().c_str());
         return 1;

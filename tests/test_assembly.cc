@@ -1,23 +1,33 @@
 // Assembly-engine tests: the stamp-slot cache (zero pattern searches
 // after warm-up, for the real dcop/transient passes, the complex AC
-// system, and Monte-Carlo cache adoption), slot invalidation on
+// split, and Monte-Carlo cache adoption), slot invalidation on
 // topology edits, batched-vs-legacy bit-identity under every assembly
-// mode, and the stamp/factor/solve telemetry breakdown.
+// mode, the omega-affine stamp_ac contract behind the G + jwC split,
+// and the stamp/factor/solve telemetry breakdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/mna.h"
 #include "analysis/op.h"
 #include "analysis/op_report.h"
 #include "analysis/transient.h"
 #include "bench_util.h"
+#include "analysis/structural.h"
+#include "circuit/lint.h"
 #include "circuit/netlist.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
+#include "devices/tanh_vccs.h"
 #include "numeric/sparse.h"
+#include "spicefmt/parser.h"
 
 namespace {
 
@@ -72,13 +82,19 @@ TEST(AssemblySlots, ComplexSystemReplaysAcrossFrequencies) {
   const auto op = an::solve_op(rig->nl, oo);
   ASSERT_TRUE(op.converged);  // save_op ran: stamp_ac is well-defined
 
-  an::ComplexSystem sys;
-  sys.init(rig->nl, an::SolverKind::kSparse);
-  sys.assemble(rig->nl, 2.0 * M_PI * 1e3, 1e-12);  // records
+  // The first split records the stamp_ac slot pass into the netlist
+  // cache; a second split replays it, and frequency points never stamp.
+  const an::AcSplit first =
+      an::split_ac(rig->nl, an::SolverKind::kSparse, 1e-12);
   const long s0 = num::sparse_search_count();
-  sys.assemble(rig->nl, 2.0 * M_PI * 1e4, 1e-12);  // replays
-  sys.assemble(rig->nl, 2.0 * M_PI * 1e5, 1e-12);
+  const an::AcSplit split =
+      an::split_ac(rig->nl, an::SolverKind::kSparse, 1e-12);
+  an::ComplexSystem sys;
+  sys.init(rig->nl, split);
+  for (const double f : {1e3, 1e4, 1e5}) sys.assemble(2.0 * M_PI * f);
   EXPECT_EQ(num::sparse_search_count() - s0, 0);
+  expect_bits_equal(first.g, split.g, "replayed G");
+  expect_bits_equal(first.c, split.c, "replayed C");
 }
 
 TEST(AssemblySlots, AdoptedCacheReplaysFromTheFirstAssembly) {
@@ -237,6 +253,116 @@ TEST(AssemblyBatching, LegacyModeStillSearches) {
   const long s0 = num::sparse_search_count();
   sys.assemble(rig->nl, op.x, p);
   EXPECT_GT(num::sparse_search_count() - s0, 0);
+}
+
+// ---- the omega-affine stamp_ac contract ------------------------------
+//
+// AC and noise sweeps form every frequency point as G + jwC from one
+// split per analysis (an::split_ac), never from a device pass.  That is
+// exact only while every stamp_ac writes a real constant or j*omega
+// times a real constant, and an omega-independent rhs; these tests
+// compare a direct dense assembly at three frequencies against the
+// split for every device class and every lint-clean sample deck, so a
+// device breaking the contract fails here instead of in AC output.
+
+void expect_split_matches_direct(ckt::Netlist& nl, const std::string& what) {
+  nl.assign_unknowns();
+  an::solve_op(nl);  // save_op; the contract holds at any saved OP
+  constexpr double kGshunt = 1e-12;
+  const an::AcSplit split =
+      an::split_ac(nl, an::SolverKind::kSparse, kGshunt);
+  const auto n = static_cast<std::size_t>(nl.unknown_count());
+  const auto& rp = split.skeleton->row_ptr();
+  const auto& cols = split.skeleton->cols();
+  ASSERT_EQ(split.g.size(), split.skeleton->values().size()) << what;
+  for (const double f : {0.37, 1.3e3, 7.7e6}) {
+    const double w = 2.0 * M_PI * f;
+    num::ComplexMatrix direct;
+    num::ComplexVector rhs;
+    an::assemble_ac(nl, w, kGshunt, direct, rhs);
+    num::ComplexMatrix formed(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (int k = rp[r]; k < rp[r + 1]; ++k) {
+        const auto kk = static_cast<std::size_t>(k);
+        formed(r, static_cast<std::size_t>(cols[kk])) = {split.g[kk],
+                                                         w * split.c[kk]};
+      }
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) {
+        const std::complex<double> d = direct(r, c), s = formed(r, c);
+        EXPECT_LE(std::abs(d - s),
+                  1e-12 * std::max(std::abs(d), std::abs(s)))
+            << what << ": A(" << r << "," << c << ") at f = " << f
+            << " Hz, direct " << d << ", split " << s;
+      }
+    ASSERT_EQ(rhs.size(), split.rhs.size()) << what;
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(rhs[i], split.rhs[i]) << what << ": rhs " << i;
+  }
+}
+
+TEST(AcSplitContract, EveryDeviceClassIsAffineInOmega) {
+  // One small deck per concrete device class (TanhVccs has no card and
+  // is added programmatically below).
+  const std::pair<const char*, const char*> decks[] = {
+      {"resistor", "v1 a 0 dc 1 ac 1\nr1 a 0 1k\n"},
+      {"capacitor", "v1 a 0 dc 1 ac 1\nr1 a b 1k\nc1 b 0 1n\n"},
+      {"inductor", "v1 a 0 dc 1 ac 1\nr1 a b 1k\nl1 b 0 1m\n"},
+      {"isource", "i1 0 a dc 1m ac 1 45\nr1 a 0 1k\n"},
+      {"vcvs", "v1 a 0 ac 1\nr1 a 0 1k\ne1 b 0 a 0 2\nr2 b 0 1k\n"},
+      {"vccs", "v1 a 0 ac 1\nr1 a 0 1k\ng1 b 0 a 0 1m\nr2 b 0 1k\n"},
+      {"cccs", "v1 a 0 ac 1\nr1 a 0 1k\nf1 b 0 v1 3\nr2 b 0 1k\n"},
+      {"ccvs", "v1 a 0 ac 1\nr1 a 0 1k\nh1 b 0 v1 50\nr2 b 0 1k\n"},
+      {"diode",
+       ".model dm d is=1e-14\nv1 a 0 dc 1 ac 1\nr1 a b 1k\nd1 b 0 dm\n"},
+      {"bjt",
+       ".model qn npn is=1e-16 bf=100\nvcc c 0 dc 3\nvb i 0 dc 0.7 ac 1\n"
+       "rb i b 10k\nrc c o 2k\nq1 o b 0 qn\n"},
+      {"mosfet",
+       ".model mn nmos vto=0.7 kp=100u lambda=0.01\nvdd d 0 dc 3\n"
+       "vg g 0 dc 1.2 ac 1\nrd d o 10k\nm1 o g 0 0 mn w=10u l=1u\n"},
+      {"switch",
+       ".model sw1 sw ron=80 roff=1e12\nv1 a 0 dc 1 ac 1\ns1 a b sw1 on\n"
+       "r1 b 0 1k\n"},
+  };
+  for (const auto& [what, body] : decks) {
+    auto parsed = spice::parse_netlist(std::string("* ") + what + "\n" +
+                                       body + ".end\n");
+    expect_split_matches_direct(*parsed.netlist, what);
+  }
+  ckt::Netlist nl;
+  const auto a = nl.node("a"), b = nl.node("b");
+  nl.add<dev::VSource>("v1", a, ckt::kGround,
+                       dev::Waveform::dc(0.1).with_ac(1.0));
+  nl.add<dev::Resistor>("r1", a, ckt::kGround, 1e3);
+  nl.add<dev::TanhVccs>("gt", b, ckt::kGround, a, ckt::kGround, 1e-3, 1e-4);
+  nl.add<dev::Resistor>("r2", b, ckt::kGround, 1e3);
+  expect_split_matches_direct(nl, "tanh_vccs");
+}
+
+TEST(AcSplitContract, EveryLintCleanSampleDeckIsAffineInOmega) {
+  an::register_analysis_lint_passes();
+  int checked = 0;
+  for (const char* dir : {"/../examples/netlists", "/faults"}) {
+    std::vector<std::filesystem::path> files;
+    for (const auto& e :
+         std::filesystem::directory_iterator(std::string(MSIM_TEST_DIR) + dir))
+      if (e.path().extension() == ".sp") files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    for (const auto& f : files) {
+      std::unique_ptr<ckt::Netlist> nl;
+      try {
+        nl = std::move(spice::parse_netlist_file(f.string()).netlist);
+      } catch (const std::exception&) {
+        continue;  // parse-level fault decks never reach AC
+      }
+      nl->assign_unknowns();
+      if (!ckt::lint(*nl).empty()) continue;
+      expect_split_matches_direct(*nl, f.filename().string());
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 3);  // rc_filter, pga_ladder, bandgap_core
 }
 
 // ---- telemetry breakdown --------------------------------------------

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/mna.h"
 #include "core/budget.h"
 #include "numeric/sparse.h"
 #include "serve/deck.h"
@@ -65,6 +66,26 @@ constexpr const char* kTranDeck =
     "c1 out 0 1n\n"
     ".tran 1u 40u\n"
     ".end\n";
+
+// Diode-clamped RC low-pass driven by a 1 kHz tone (PSS mode).
+constexpr const char* kPssDeck =
+    "* clamped rc, pss\n"
+    ".model dm d is=1e-14\n"
+    "v1 in 0 sin(0 1 1k)\n"
+    "r1 in out 1k\n"
+    "c1 out 0 100n\n"
+    "d1 out 0 dm\n"
+    ".tran 10u 1m\n"
+    ".end\n";
+
+// Diode-loaded divider for the shared-OP tests; directives appended.
+constexpr const char* kSmallSignalBody =
+    "* diode divider, small signal\n"
+    ".model dm d is=1e-14\n"
+    "v1 in 0 dc 2 ac 1\n"
+    "r1 in out 1k\n"
+    "c1 out 0 100n\n"
+    "d1 out 0 dm\n";
 
 // Distinct topology (three-node ladder) for multi-entry registry tests.
 constexpr const char* kLadderDeck =
@@ -249,6 +270,70 @@ TEST(ServeDeck, WarmAcJobZeroPatternSearches) {
          "(AC slot pass not shared through the registry?)";
 }
 
+TEST(ServeDeck, WarmPssJobZeroPatternSearches) {
+  // The shooting analysis builds its history matrix on the netlist's
+  // cached skeleton and slot tables, like the transient steps it rides.
+  CacheRegistry reg;
+  DeckOptions opt;
+  opt.pss = true;
+  const DeckResult cold = run_no_memo(kPssDeck, &reg, opt);
+  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+  const long s0 = num::sparse_search_count();
+  const DeckResult warm = run_no_memo(kPssDeck, &reg, opt);
+  ASSERT_EQ(warm.exit_code, 0) << warm.err;
+  ASSERT_TRUE(warm.warm);
+  EXPECT_EQ(num::sparse_search_count() - s0, 0)
+      << "warm PSS repeat fell back to pattern searches";
+  EXPECT_EQ(warm.out, cold.out);
+}
+
+// -------------------------------------------------------------------
+// Deck runner: .op/.ac/.noise directives share one operating point.
+
+std::string small_signal_deck(const std::string& directives) {
+  return std::string(kSmallSignalBody) + directives + ".end\n";
+}
+
+// Runs `deck` cold and returns the LU factorizations it made.
+long factorizations(const std::string& deck, DeckResult* r = nullptr) {
+  const long f0 = an::factor_call_count();
+  const DeckResult res = run_no_memo(deck, nullptr);
+  EXPECT_EQ(res.exit_code, 0) << res.err;
+  if (r) *r = res;
+  return an::factor_call_count() - f0;
+}
+
+TEST(ServeDeck, SmallSignalDirectivesShareOneOperatingPoint) {
+  const std::string ac = ".ac dec 5 10 100k\n";
+  const std::string noise = ".noise out v1 dec 5 10 100k\n";
+  DeckResult r_op, r_ac, r_noise, r_all;
+  const long f_op = factorizations(small_signal_deck(".op\n"), &r_op);
+  const long f_ac = factorizations(small_signal_deck(ac), &r_ac);
+  const long f_noise = factorizations(small_signal_deck(noise), &r_noise);
+  const long f_all =
+      factorizations(small_signal_deck(".op\n" + ac + noise), &r_all);
+  ASSERT_GT(f_op, 1);  // the diode takes Newton iterations
+  // One OP solve, then one factorization per sweep point.
+  EXPECT_EQ(f_all, f_ac + f_noise - f_op);
+  // Each directive prints what its single-directive deck prints.
+  EXPECT_EQ(strip_timing(r_all.out),
+            strip_timing(r_op.out + r_ac.out + r_noise.out));
+  EXPECT_EQ(r_all.err, r_op.err + r_ac.err + r_noise.err);
+  // A repeated .op is free.
+  EXPECT_EQ(factorizations(small_signal_deck(".op\n.op\n")), f_op);
+}
+
+TEST(ServeDeck, DcOrTranBetweenDirectivesForcesFreshOperatingPoint) {
+  for (const std::string mid : {".dc v1 0 1 0.5\n", ".tran 10u 100u\n"}) {
+    const long without = factorizations(small_signal_deck(".op\n" + mid));
+    const long with =
+        factorizations(small_signal_deck(".op\n" + mid + ".ac dec 1 1k 1k\n"));
+    // The trailing .ac solves a fresh OP (Newton on the diode) besides
+    // its one sweep point.
+    EXPECT_GT(with, without + 1) << mid;
+  }
+}
+
 TEST(ServeDeck, WarmJobStillRunsValueDependentLint) {
   // Same topology as kOpDeck (the fingerprint excludes values), but r2
   // carries a NaN value: a cold run refuses to simulate at lint, exit
@@ -407,6 +492,30 @@ TEST(ServeDeck, MonteCarloAdoptsRegistryStructure) {
   // adoption changes where the structure comes from, not the values.
   const DeckResult cold = run_no_memo(kOpDeck, nullptr, opt);
   EXPECT_EQ(cold.out, mc.out);
+}
+
+TEST(ServeDeck, RepeatMonteCarloJobGoesWarm) {
+  // Only the MC samples solve, never the deck's own netlist, so the
+  // registry must keep sample 0's structure: a repeat MC job over the
+  // topology then adopts it, searches less, and prints the same bytes
+  // as a registry-less run.
+  CacheRegistry reg;
+  DeckOptions opt;
+  opt.mc = 4;
+  opt.probe_arg = "out";
+  const long s0 = num::sparse_search_count();
+  const DeckResult first = run_no_memo(kOpDeck, &reg, opt);
+  const long s1 = num::sparse_search_count();
+  ASSERT_EQ(first.exit_code, 0) << first.err;
+  EXPECT_FALSE(first.warm);
+  const DeckResult second = run_no_memo(kOpDeck, &reg, opt);
+  const long s2 = num::sparse_search_count();
+  ASSERT_EQ(second.exit_code, 0) << second.err;
+  EXPECT_TRUE(second.warm);
+  EXPECT_LT(s2 - s1, s1 - s0);
+  const DeckResult cold = run_no_memo(kOpDeck, nullptr, opt);
+  EXPECT_EQ(second.out, cold.out);
+  EXPECT_EQ(second.err, cold.err);
 }
 
 // -------------------------------------------------------------------

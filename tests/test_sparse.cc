@@ -5,9 +5,12 @@
 // circuits and the fault-injection netlists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "analysis/ac.h"
@@ -188,6 +191,107 @@ TEST(SparseLu, MinPivotOnDiagonalMatrix) {
   ASSERT_FALSE(sparse.singular());
   EXPECT_DOUBLE_EQ(sparse.min_pivot(), 0.5);
   EXPECT_DOUBLE_EQ(dense.min_pivot(), 0.5);
+}
+
+// ---- complex refactor health probes ----------------------------------
+//
+// The complex refactor compares squared magnitudes and takes one sqrt
+// per probe; the probes must still match hypot-based |.| values.
+
+// Distance in units in the last place between two finite doubles of
+// the same sign.
+long ulp_distance(double a, double b) {
+  std::int64_t ia, ib;
+  std::memcpy(&ia, &a, sizeof a);
+  std::memcpy(&ib, &b, sizeof b);
+  return static_cast<long>(ia > ib ? ia - ib : ib - ia);
+}
+
+TEST(SparseLu, ComplexHealthProbesMatchHypot) {
+  // A row- and column-permuted upper-triangular matrix: whatever order
+  // Markowitz picks, every pivot is one of the triangle's diagonal
+  // entries and elimination never updates them, so the hypot-based
+  // probes are known exactly from the input.
+  const int n = 7;
+  const std::complex<double> diag[n] = {
+      {3e-4, -2e-4}, {1.5, 2.5}, {7e5, -1e6}, {-0.3, 1e-9},
+      {2e-7, 6e-7},  {-40.0, 9.0}, {0.0, -1.7e3}};
+  const int prow[n] = {4, 0, 6, 2, 5, 1, 3};
+  const int pcol[n] = {2, 5, 0, 6, 3, 1, 4};
+  num::Rng rng(29);
+  num::SparsityPattern pat(n);
+  std::vector<std::tuple<int, int, std::complex<double>>> entries;
+  for (int i = 0; i < n; ++i)
+    for (int j = i; j < n; ++j) {
+      if (j != i && rng.uniform(0.0, 1.0) < 0.4) continue;
+      const std::complex<double> v =
+          j == i ? diag[i] : std::complex<double>(rng.normal(), rng.normal());
+      pat.add(prow[i], pcol[j]);
+      entries.emplace_back(prow[i], pcol[j], v);
+    }
+  for (const double scale : {1.0, 3.7e-3}) {  // analyze, then refactor
+    num::ComplexSparseMatrix a(pat);
+    double a_max = 0.0;
+    for (const auto& [r, c, v] : entries) {
+      a.add(r, c, scale * v);
+      a_max = std::max(a_max, std::abs(scale * v));
+    }
+    double min_piv = 1e300, max_piv = 0.0;
+    for (const auto& d : diag) {
+      min_piv = std::min(min_piv, std::abs(scale * d));
+      max_piv = std::max(max_piv, std::abs(scale * d));
+    }
+    num::ComplexSparseLu lu;
+    lu.factor(a);
+    ASSERT_FALSE(lu.singular());
+    EXPECT_LE(ulp_distance(lu.min_pivot(), min_piv), 4) << scale;
+    EXPECT_LE(ulp_distance(lu.max_pivot(), max_piv), 4) << scale;
+    EXPECT_LE(ulp_distance(lu.pivot_growth(), max_piv / a_max), 4) << scale;
+    EXPECT_LE(ulp_distance(lu.condition_estimate(), max_piv / min_piv), 4)
+        << scale;
+    lu.factor(a);  // the cached-structure refactor path
+    EXPECT_LE(ulp_distance(lu.min_pivot(), min_piv), 4) << scale;
+    EXPECT_LE(ulp_distance(lu.max_pivot(), max_piv), 4) << scale;
+  }
+}
+
+TEST(SparseLu, ComplexPivotFloorVerdictMatchesDense) {
+  // |z| = 8.5e-31 sits below the 1e-30 pivot floor and |z| = 1.13e-30
+  // above it; the squared comparison must reach the hypot verdict and
+  // name the same column as the dense engine, on a fresh analysis and
+  // on the refactor of a cached one.
+  const int n = 6, weak = 3;
+  num::SparsityPattern pat(n);
+  for (int i = 0; i < n; ++i) pat.add(i, i);
+  auto make = [&](std::complex<double> w) {
+    num::ComplexSparseMatrix a(pat);
+    for (int i = 0; i < n; ++i)
+      a.add(i, i, i == weak ? w : std::complex<double>(1.0 + i, -0.5 * i));
+    return a;
+  };
+  const auto healthy = make({1.0, 1.0});
+  const auto below = make({6e-31, 6e-31});
+  const auto above = make({8e-31, 8e-31});
+
+  num::ComplexLu dense(below.to_dense());
+  ASSERT_TRUE(dense.singular());
+  num::ComplexSparseLu fresh;
+  fresh.factor(below);
+  EXPECT_TRUE(fresh.singular());
+  EXPECT_EQ(fresh.singular_col(), dense.singular_col());
+  EXPECT_EQ(fresh.singular_col(), weak);
+
+  num::ComplexSparseLu cached;
+  cached.factor(healthy);
+  ASSERT_FALSE(cached.singular());
+  cached.factor(below);
+  EXPECT_TRUE(cached.singular());
+  EXPECT_EQ(cached.singular_col(), weak);
+
+  cached.factor(above);
+  ASSERT_FALSE(cached.singular());
+  EXPECT_LE(ulp_distance(cached.min_pivot(), std::abs(above.values()[weak])),
+            4);
 }
 
 // ---- symbolic export / adoption -------------------------------------
