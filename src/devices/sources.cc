@@ -1,10 +1,22 @@
 #include "devices/sources.h"
 
+#include <cmath>
 #include <complex>
 
 #include "circuit/range.h"
 
 namespace msim::dev {
+namespace {
+
+// AC excitation phasor.  A negative magnitude is legal (an inverting
+// drive, `ac -0.5`), which std::polar forbids (rho >= 0 is a checked
+// precondition under _GLIBCXX_ASSERTIONS); this is the same formula
+// without the precondition, so the value is bit-identical.
+std::complex<double> ac_phasor(double mag, double phase) {
+  return {mag * std::cos(phase), mag * std::sin(phase)};
+}
+
+}  // namespace
 
 // ----------------------------------------------------------------- VSource
 
@@ -34,7 +46,7 @@ void VSource::stamp_ac(ckt::AcStampContext& ctx) const {
   ctx.add_branch_jac(ib, nodes_[0], {1.0, 0.0});
   ctx.add_branch_jac(ib, nodes_[1], {-1.0, 0.0});
   if (wave_.ac_mag() != 0.0) {
-    ctx.add_rhs(ib, std::polar(wave_.ac_mag(), wave_.ac_phase()));
+    ctx.add_rhs(ib, ac_phasor(wave_.ac_mag(), wave_.ac_phase()));
   }
 }
 
@@ -58,7 +70,7 @@ void ISource::stamp(ckt::StampContext& ctx) const {
 
 void ISource::stamp_ac(ckt::AcStampContext& ctx) const {
   if (wave_.ac_mag() == 0.0) return;
-  const std::complex<double> i = std::polar(wave_.ac_mag(), wave_.ac_phase());
+  const std::complex<double> i = ac_phasor(wave_.ac_mag(), wave_.ac_phase());
   ctx.add_current_into(nodes_[0], -i);
   ctx.add_current_into(nodes_[1], i);
 }

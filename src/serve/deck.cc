@@ -226,6 +226,19 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       // Sample 0 primes (or adopts from the registry) the shared solver
       // structure, later samples adopt it -- the monte_carlo_shared
       // idiom, so statistics are bit-identical at any thread count.
+      //
+      // Sample 0 also seeds the operating point: it solves from zero
+      // and every later sample starts Newton from its converged x,
+      // which a 1% resistor spread leaves a few plain-Newton steps
+      // away.  This relies on monte_carlo_shared building and
+      // measuring sample 0 serially before any other sample starts,
+      // so every later sample reads the same finished seed at any
+      // thread count.  Sample 0 is the primer whether or not a
+      // registry is attached (only adoption and publication need
+      // one), so cold, warm and daemon runs seed alike and print the
+      // same bytes.  If sample 0 fails, later samples start from zero;
+      // a seeded sample whose plain Newton fails still gets solve_op's
+      // gmin/source ladder.
       if (probes.empty()) {
         err.fmt("mc: no probe nodes\n");
         return 1;
@@ -234,6 +247,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       an::McOptions mo;
       mo.budget = budget_p;
       std::atomic<const ckt::Netlist*> primer{nullptr};
+      num::RealVector seed_x;  // written by sample 0 only, read after
       const auto stats = an::monte_carlo_shared(
           cli.mc, rng,
           [&](num::Rng& r, ckt::Netlist& snl) {
@@ -248,18 +262,22 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
             // every other sample inherits it through the MC driver's
             // own sample-0 adoption.
             const ckt::Netlist* none = nullptr;
-            if (registry && primer.compare_exchange_strong(none, &snl)) {
+            if (primer.compare_exchange_strong(none, &snl) && registry) {
               if (registry->adopt_into(snl).warm) warm = true;
             }
           },
           [&](ckt::Netlist& snl) {
+            const bool is_primer = primer.load() == &snl;
             an::OpOptions o = op_opt;
+            if (!is_primer) o.initial_guess = seed_x;
             const auto op = an::solve_op(snl, o);
-            // Only the samples solve, never the parent netlist, so the
-            // structure sample 0 built is what the registry keeps for
-            // the next job over this topology.
-            if (primer.load() == &snl)
-              registry->publish_from(snl, publish.lint_clean);
+            if (is_primer) {
+              if (op.converged) seed_x = op.x;
+              // Only the samples solve, never the parent netlist, so
+              // the structure sample 0 built is what the registry
+              // keeps for the next job over this topology.
+              if (registry) registry->publish_from(snl, publish.lint_clean);
+            }
             if (!op.converged) return an::McTrial::failed(op.diag);
             return an::McTrial::of(op.v(probes[0]));
           },

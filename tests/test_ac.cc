@@ -135,4 +135,30 @@ TEST(Ac, DifferentialProbeHelper) {
   EXPECT_NEAR(std::abs(r.vdiff(0, a, b)), 1.0 / 3.0, 1e-6);
 }
 
+TEST(Ac, NegativeAcMagnitudeDrivesInverted) {
+  // `ac -0.5` is an inverting drive (the mic rig's inverting input), not
+  // a precondition breach: V and I sources with a negative AC magnitude
+  // produce exactly the negated response of the positive magnitude.
+  auto response = [](double v_ac, double i_ac) {
+    ckt::Netlist nl;
+    const auto in = nl.node("in");
+    const auto out = nl.node("out");
+    nl.add<dev::VSource>("V1", in, ckt::kGround,
+                         dev::Waveform::dc(0.0).with_ac(v_ac, 0.3));
+    nl.add<dev::ISource>("I1", ckt::kGround, out,
+                         dev::Waveform::dc(0.0).with_ac(i_ac, -0.2));
+    nl.add<dev::Resistor>("R1", in, out, 1e3);
+    nl.add<dev::Capacitor>("C1", out, ckt::kGround, 100e-9);
+    EXPECT_TRUE(an::solve_op(nl).converged);
+    return an::run_ac(nl, {1e3}).v(0, out);
+  };
+  const std::complex<double> pos = response(0.5, 1e-4);
+  const std::complex<double> neg = response(-0.5, -1e-4);
+  EXPECT_GT(std::abs(pos), 0.1);
+  EXPECT_EQ(neg, -pos);
+  // Each source alone also inverts with its sign.
+  EXPECT_EQ(response(-0.5, 0.0), -response(0.5, 0.0));
+  EXPECT_EQ(response(0.0, -1e-4), -response(0.0, 1e-4));
+}
+
 }  // namespace

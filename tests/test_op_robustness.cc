@@ -10,6 +10,7 @@
 #include "analysis/op.h"
 #include "analysis/sweep.h"
 #include "analysis/transient.h"
+#include "bench_util.h"
 #include "core/bias.h"
 #include "circuit/lint.h"
 #include "circuit/netlist.h"
@@ -18,6 +19,7 @@
 #include "devices/mosfet.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
+#include "numeric/rng.h"
 #include "numeric/units.h"
 #include "process/process.h"
 #include "spicefmt/parser.h"
@@ -94,6 +96,82 @@ TEST(OpRobustness, InitialGuessAcceleratesResolve) {
   ASSERT_TRUE(op2.converged);
   EXPECT_LE(op2.iterations, op1.iterations);
   EXPECT_LE(op2.iterations, 3);
+}
+
+// A full-chip Monte-Carlo sample: fresh rig, every resistor moved by a
+// 1% gaussian spread drawn from `seed`.
+std::unique_ptr<bench::ChipRig> perturbed_chip(std::uint64_t seed) {
+  auto chip = bench::make_chip_rig();
+  num::Rng rng(seed);
+  for (const auto& dv : chip->nl.devices())
+    if (auto* r = dynamic_cast<dev::Resistor*>(dv.get()))
+      r->set_resistance(r->nominal_resistance() *
+                        (1.0 + 0.01 * rng.normal()));
+  return chip;
+}
+
+TEST(OpRobustness, PerturbedChipSeededFromNominalConvergesByNewton) {
+  // The full chip's cold operating point needs the homotopy ladder;
+  // a Monte-Carlo sample started from an already-solved sample's x is
+  // a few plain-Newton steps from its own solution, and lands on the
+  // same solution a cold solve finds.
+  auto nominal = bench::make_chip_rig();
+  const auto cold = an::solve_op(nominal->nl);
+  ASSERT_TRUE(cold.converged) << cold.diag.message();
+  EXPECT_NE(cold.method, "newton");
+
+  auto sample = perturbed_chip(11);
+  an::OpOptions seeded;
+  seeded.initial_guess = cold.x;
+  const auto op = an::solve_op(sample->nl, seeded);
+  ASSERT_TRUE(op.converged) << op.diag.message();
+  EXPECT_EQ(op.method, "newton");
+  EXPECT_LE(op.iterations, 5);
+
+  auto oracle_nl = perturbed_chip(11);
+  const auto oracle = an::solve_op(oracle_nl->nl);
+  ASSERT_TRUE(oracle.converged) << oracle.diag.message();
+  ASSERT_EQ(op.x.size(), oracle.x.size());
+  for (std::size_t i = 0; i < op.x.size(); ++i)
+    EXPECT_NEAR(op.x[i], oracle.x[i],
+                1e-6 * std::max(1.0, std::abs(oracle.x[i])))
+        << "unknown " << i;
+}
+
+TEST(OpRobustness, SeededMonteCarloIsThreadCountIndependent) {
+  // The sample-0 seed is safe to share because monte_carlo_shared
+  // measures sample 0 serially before any other sample starts: every
+  // later sample reads the same finished x at any thread count.
+  auto run = [](int threads) {
+    num::Rng rng(3);
+    num::RealVector seed_x;
+    const ckt::Netlist* primer = nullptr;
+    an::McOptions mo;
+    mo.threads = threads;
+    mo.chunk = 1;
+    return an::monte_carlo_shared(
+        4, rng,
+        [&](num::Rng& r, ckt::Netlist& snl) {
+          auto chip = perturbed_chip(r.derive_seed());
+          snl = std::move(chip->nl);
+          snl.assign_unknowns();
+          if (!primer) primer = &snl;
+        },
+        [&](ckt::Netlist& snl) {
+          an::OpOptions o;
+          if (&snl != primer) o.initial_guess = seed_x;
+          const auto op = an::solve_op(snl, o);
+          if (&snl == primer && op.converged) seed_x = op.x;
+          if (!op.converged) return an::McTrial::failed(op.diag);
+          return an::McTrial::of(op.v(snl, "chip.bg.vref_p"));
+        },
+        mo);
+  };
+  const auto serial = run(1);
+  const auto parallel = run(4);
+  ASSERT_EQ(serial.failures, 0);
+  ASSERT_EQ(serial.samples.size(), 4u);
+  EXPECT_EQ(parallel.samples, serial.samples);  // bit-identical
 }
 
 TEST(OpRobustness, ContinuationTracksSteepTransferCurve) {

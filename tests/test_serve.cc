@@ -19,7 +19,12 @@
 #include <vector>
 
 #include "analysis/mna.h"
+#include "analysis/montecarlo.h"
+#include "analysis/op.h"
+#include "bench_util.h"
 #include "core/budget.h"
+#include "devices/passive.h"
+#include "numeric/rng.h"
 #include "numeric/sparse.h"
 #include "serve/deck.h"
 #include "serve/json.h"
@@ -27,6 +32,7 @@
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "spicefmt/parser.h"
+#include "spicefmt/writer.h"
 
 namespace {
 
@@ -516,6 +522,100 @@ TEST(ServeDeck, RepeatMonteCarloJobGoesWarm) {
   const DeckResult cold = run_no_memo(kOpDeck, nullptr, opt);
   EXPECT_EQ(second.out, cold.out);
   EXPECT_EQ(second.err, cold.err);
+}
+
+// The full chip (bandgap, PGA, drivers) as a .op deck.  Its cold
+// operating point needs the gmin ladder -- plain Newton limit-cycles --
+// so it is the deck where seeding MC samples from sample 0 matters.
+std::string chip_op_deck() {
+  auto chip = bench::make_chip_rig();
+  std::string deck = spice::write_netlist(chip->nl, "chip mc");
+  deck.insert(deck.rfind(".end"), ".op\n");
+  return deck;
+}
+
+DeckOptions chip_mc_options() {
+  DeckOptions opt;
+  opt.mc = 4;
+  opt.mc_seed = 5;
+  opt.probe_arg = "chip.bg.vref_p";
+  return opt;
+}
+
+TEST(ServeDeck, SeededMonteCarloSameBytesColdWarmAndRepeated) {
+  // Sample 0 seeds every later sample whether or not a registry is
+  // attached, so a registry-less run, the priming registry run and a
+  // warm registry run all print the same bytes, as does a repeat.
+  // Seeded samples converge in a few Newton steps, so each MC job
+  // factors well under twice what one cold operating point does (four
+  // cold solves would factor about four times as much).
+  const std::string deck = chip_op_deck();
+  const DeckOptions opt = chip_mc_options();
+  DeckOptions single;
+  single.probe_arg = opt.probe_arg;
+  const long f0 = an::factor_call_count();
+  ASSERT_EQ(run_no_memo(deck, nullptr, single).exit_code, 0);
+  const long one_op = an::factor_call_count() - f0;
+
+  const long f1 = an::factor_call_count();
+  const DeckResult cold = run_no_memo(deck, nullptr, opt);
+  EXPECT_LT(an::factor_call_count() - f1, 2 * one_op);
+  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+  EXPECT_NE(cold.out.find("mc,4 samples,0 failures"), std::string::npos)
+      << cold.out;
+  CacheRegistry reg;
+  const DeckResult primed = run_no_memo(deck, &reg, opt);
+  const long f2 = an::factor_call_count();
+  const DeckResult warm = run_no_memo(deck, &reg, opt);
+  EXPECT_LT(an::factor_call_count() - f2, 2 * one_op);
+  ASSERT_EQ(warm.exit_code, 0) << warm.err;
+  EXPECT_FALSE(primed.warm);
+  EXPECT_TRUE(warm.warm);
+  EXPECT_EQ(primed.out, cold.out);
+  EXPECT_EQ(warm.out, cold.out);
+  EXPECT_EQ(warm.err, cold.err);
+  const DeckResult again = run_no_memo(deck, nullptr, opt);
+  EXPECT_EQ(again.out, cold.out);
+  EXPECT_EQ(again.err, cold.err);
+}
+
+TEST(ServeDeck, SeededMonteCarloMatchesFromZeroOracle) {
+  // Oracle: the same samples (same re-parse, same 1% resistor spread,
+  // same per-sample RNG streams) with every operating point solved from
+  // zero.  Seeding changes where Newton starts, not the solution, so
+  // the printed statistics agree.
+  const std::string deck = chip_op_deck();
+  const DeckOptions opt = chip_mc_options();
+  const DeckResult seeded = run_no_memo(deck, nullptr, opt);
+  ASSERT_EQ(seeded.exit_code, 0) << seeded.err;
+
+  auto parsed = spice::parse_netlist(deck);
+  const ckt::NodeId probe = parsed.netlist->find_node(opt.probe_arg);
+  num::Rng rng(opt.mc_seed);
+  const auto oracle = an::monte_carlo_shared(
+      opt.mc, rng,
+      [&](num::Rng& r, ckt::Netlist& snl) {
+        snl = std::move(*spice::parse_netlist(deck).netlist);
+        for (const auto& dv : snl.devices())
+          if (auto* res = dynamic_cast<dev::Resistor*>(dv.get()))
+            res->set_resistance(res->nominal_resistance() *
+                                (1.0 + 0.01 * r.normal()));
+        snl.assign_unknowns();
+      },
+      [&](ckt::Netlist& snl) {
+        an::OpOptions o;
+        o.temp_k = num::celsius_to_kelvin(parsed.temp_c);
+        const auto op = an::solve_op(snl, o);
+        if (!op.converged) return an::McTrial::failed(op.diag);
+        return an::McTrial::of(op.v(probe));
+      });
+  ASSERT_EQ(oracle.failures, 0);
+  char row[160];
+  std::snprintf(row, sizeof row, "v(%s),%.6g,%.6g,%.6g,%.6g\n",
+                opt.probe_arg.c_str(), oracle.mean(), oracle.stddev(),
+                oracle.min(), oracle.max());
+  EXPECT_NE(seeded.out.find(row), std::string::npos)
+      << "oracle " << row << "seeded run:\n" << seeded.out;
 }
 
 // -------------------------------------------------------------------

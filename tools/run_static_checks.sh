@@ -62,7 +62,7 @@ run_sanitized_faults() {
   echo "run_static_checks: building fault suites with asan+ubsan in $san_dir" >&2
   cmake -B "$san_dir" -S "$repo_root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
         >/dev/null 2>&1 || {
     missing_tool "sanitized configure failed (compiler without asan/ubsan?)"
