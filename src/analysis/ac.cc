@@ -52,7 +52,7 @@ AcResult run_ac_diag(ckt::Netlist& nl,
   const std::size_t nf = freqs_hz.size();
   // Serial: split the small-signal system into G + jwC once; the chunk
   // workers below share it read-only and form each point from it.
-  const AcSplit split = split_ac(nl, opt.solver, opt.gshunt);
+  const AcSplit split = split_ac(nl, opt.gshunt);
   int threads = opt.threads == 0 ? core::default_thread_count()
                                  : std::max(1, opt.threads);
   const std::size_t nchunks =
@@ -84,7 +84,7 @@ AcResult run_ac_diag(ckt::Netlist& nl,
         const std::size_t hi = nf * (c + 1) / nchunks;
         if (lo >= hi) return;
         ComplexSystem sys;
-        sys.init(nl, split);
+        sys.init(split);
         for (std::size_t i = lo; i < hi; ++i) {
           if (opt.budget) {
             const core::StopReason stop = opt.budget->stop_reason();

@@ -23,8 +23,6 @@ struct AcOptions {
   // complex system is assembled.  Cached clean verdicts make this a
   // hash lookup when solve_op already vetted the same netlist.
   bool lint = true;
-  // Linear-solver engine for the complex systems.
-  SolverKind solver = SolverKind::kSparse;
   // Worker threads for the frequency grid: 1 = serial, 0 = auto
   // (MSIM_THREADS / hardware concurrency).  The grid is split into
   // contiguous chunks, one workspace per chunk, so results are

@@ -41,23 +41,6 @@ long ns_since(Clock::time_point t0) {
 constexpr long kExactCalls = 32;
 constexpr long kSamplePeriod = 97;
 
-// Same sampling policy for the ensemble system, which ticks its clocks
-// once per cohort call instead of once per lane (RealSystem::PhaseClock
-// is private to that class; the policy is small enough to restate).
-struct SampledClock {
-  long calls = 0;
-  long weight = 0;  // 0 = untimed call, else ns multiplier
-  Clock::time_point t0;
-  void begin() {
-    const long i = calls++;
-    weight = i < kExactCalls
-                 ? 1
-                 : ((i - kExactCalls) % kSamplePeriod == 0 ? kSamplePeriod : 0);
-    if (weight != 0) t0 = Clock::now();
-  }
-  long end_ns() const { return weight != 0 ? weight * ns_since(t0) : 0; }
-};
-
 // Concrete device classes with a batched stamp loop.  kOtherKind runs
 // make the plain per-device virtual calls (heterogeneous/behavioral
 // fallback).  The hierarchy is flat (every device derives directly from
@@ -98,6 +81,21 @@ int batch_kind(const ckt::Device* d) {
   return kOtherKind;
 }
 
+// Segments a device list into maximal same-concrete-class runs (stamp
+// order untouched) for the batched loops.
+std::vector<detail::BatchRun> segment_runs(
+    const std::vector<const ckt::Device*>& devs) {
+  std::vector<detail::BatchRun> runs;
+  for (std::size_t i = 0; i < devs.size();) {
+    const int kind = batch_kind(devs[i]);
+    std::size_t j = i + 1;
+    while (j < devs.size() && batch_kind(devs[j]) == kind) ++j;
+    runs.push_back({kind, static_cast<int>(i), static_cast<int>(j)});
+    i = j;
+  }
+  return runs;
+}
+
 // One tight loop per concrete class: the virtual dispatch is hoisted
 // out of the device loop and (with stamp() marked final) the calls
 // devirtualize inside each device TU.  Segmentation preserved the
@@ -124,33 +122,23 @@ void stamp_run(int kind, const ckt::Device* const* devs, std::size_t n,
   }
 }
 
-// Applies the common stamp-context setup and device loop for the
-// large-signal system; `Jac` is either RealMatrix or RealSparseMatrix.
-template <typename Jac>
-void stamp_real(const ckt::Netlist& nl, const num::RealVector& x,
-                const AssembleParams& p, Jac& jac, num::RealVector& rhs) {
-  ckt::StampContext ctx(p.mode, x, jac, rhs);
+// Copies the large-signal parameters onto a stamp context.
+void apply_params(const AssembleParams& p, ckt::StampContext& ctx) {
   ctx.time = p.time;
   ctx.dt = p.dt;
   ctx.temp_k = p.temp_k;
   ctx.gmin = p.gmin;
   ctx.use_trapezoidal = p.use_trapezoidal;
   ctx.source_scale = p.source_scale;
-  for (const auto& d : nl.devices()) d->stamp(ctx);
 }
 
-// Adds the gshunt guard to every node diagonal of a sparse matrix.
-// When the netlist's solver cache carries resolved diagonal slots for
-// this structure the loop is n direct writes; otherwise it falls back
-// to n binary-searched add() calls (cold cache, foreign matrix).
+// Adds the gshunt guard to every node diagonal: n direct writes through
+// the resolved diagonal slots of `t` when it has them for this
+// structure, else n binary-searched add() calls.
 template <typename T>
-void add_gshunt_diag(const ckt::Netlist& nl, num::SparseMatrix<T>& jac,
-                     double gshunt) {
-  const int nodes = nl.node_count() - 1;
-  const auto& cache = nl.solver_cache();
-  const num::StampSlotTables* t = cache.slots.get();
-  if (t && cache.structure_rev == nl.structure_revision() &&
-      t->nnz == jac.nnz() && static_cast<int>(t->diag.size()) == nodes) {
+void add_gshunt_diag(const num::StampSlotTables* t, int nodes,
+                     num::SparseMatrix<T>& jac, double gshunt) {
+  if (t && t->nnz == jac.nnz() && static_cast<int>(t->diag.size()) == nodes) {
     auto& vals = jac.values();
     for (int i = 0; i < nodes; ++i)
       vals[static_cast<std::size_t>(t->diag[i])] += gshunt;
@@ -169,8 +157,8 @@ num::SparsityPattern mna_pattern(const ckt::Netlist& nl) {
   num::SparsityPattern pat(nl.unknown_count());
   for (const auto& d : nl.devices()) d->declare_stamps(pat);
   // The gshunt guard stamps every node diagonal; registering those
-  // positions here keeps the dense and sparse paths structurally
-  // identical (a capacitor-only node is regularized on both).
+  // positions here regularizes a capacitor-only node exactly as the
+  // dense assembly does.
   const int nodes = nl.node_count() - 1;
   for (int i = 0; i < nodes; ++i) pat.add(i, i);
   return pat;
@@ -188,7 +176,9 @@ void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
     jac.fill(0.0);
   rhs.assign(n, 0.0);
 
-  stamp_real(nl, x, p, jac, rhs);
+  ckt::StampContext ctx(p.mode, x, jac, rhs);
+  apply_params(p, ctx);
+  for (const auto& d : nl.devices()) d->stamp(ctx);
 
   // Weak shunts from every node voltage to ground keep matrices regular
   // in the presence of floating gates / capacitor-only nodes.
@@ -196,36 +186,7 @@ void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
   for (int i = 0; i < nodes; ++i) jac(i, i) += p.gshunt;
 }
 
-void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
-                   const AssembleParams& p, num::RealSparseMatrix& jac,
-                   num::RealVector& rhs) {
-  jac.clear_values();
-  rhs.assign(static_cast<std::size_t>(nl.unknown_count()), 0.0);
-
-  stamp_real(nl, x, p, jac, rhs);
-
-  add_gshunt_diag(nl, jac, p.gshunt);
-}
-
-void assemble_ac(const ckt::Netlist& nl, double omega, double gshunt,
-                 num::ComplexMatrix& jac, num::ComplexVector& rhs) {
-  const std::size_t n = static_cast<std::size_t>(nl.unknown_count());
-  // Size once, then only fill: every AC/noise frequency point lands
-  // here, and resize() + fill() wrote the n^2 buffer twice per point.
-  if (jac.rows() != n)
-    jac.resize(n, n);
-  else
-    jac.fill({0.0, 0.0});
-  rhs.assign(n, {0.0, 0.0});
-
-  ckt::AcStampContext ctx(omega, jac, rhs);
-  for (const auto& d : nl.devices()) d->stamp_ac(ctx);
-
-  const int nodes = nl.node_count() - 1;
-  for (int i = 0; i < nodes; ++i) jac(i, i) += gshunt;
-}
-
-void RealSystem::init(const ckt::Netlist& nl, SolverKind kind) {
+void RealSystem::init(const ckt::Netlist& nl) {
   const int n = nl.unknown_count();
   const std::size_t ndev = nl.devices().size();
   const std::uint64_t rev = nl.structure_revision();
@@ -233,95 +194,75 @@ void RealSystem::init(const ckt::Netlist& nl, SolverKind kind) {
   // and device counts unchanged (swap one device for another): a cached
   // slot table replayed over the wrong structure would be caught write
   // by write, but re-keying here avoids ever entering that path.
-  if (kind == kind_ && n == n_ && ndev == devices_ && rev == structure_rev_)
-    return;
-  kind_ = kind;
+  if (n == n_ && ndev == devices_ && rev == structure_rev_) return;
   n_ = n;
   devices_ = ndev;
   structure_rev_ = rev;
   base_valid_ = false;
   slots_shared_.reset();
   slots_own_.reset();
-  if (kind_ == SolverKind::kSparse) {
-    // Share the CSR skeleton and (when already known) the symbolic
-    // analysis through the netlist's cache; the first factor() of the
-    // first system over this netlist pays for both, everyone else
-    // copies structure.
-    auto& cache = nl.solver_cache();
-    if (!cache.skeleton || cache.unknowns != n || cache.devices != ndev ||
-        cache.structure_rev != rev) {
+  // Share the CSR skeleton and (when already known) the symbolic
+  // analysis through the netlist's cache; the first factor() of the
+  // first system over this netlist pays for both, everyone else
+  // copies structure.
+  auto& cache = nl.solver_cache();
+  if (!cache.skeleton || cache.unknowns != n || cache.devices != ndev ||
+      cache.structure_rev != rev) {
 #ifndef NDEBUG
-      // Debug builds verify the stamp contract whenever a fresh pattern
-      // is built: an out-of-pattern write would silently corrupt this
-      // CSR skeleton for every later system sharing the cache.
-      const auto violations = check_stamp_contracts(nl);
-      if (!violations.empty())
-        throw std::logic_error("stamp contract violation: " +
-                               violations.front().message);
+    // Debug builds verify the stamp contract whenever a fresh pattern
+    // is built: an out-of-pattern write would silently corrupt this
+    // CSR skeleton for every later system sharing the cache.
+    const auto violations = check_stamp_contracts(nl);
+    if (!violations.empty())
+      throw std::logic_error("stamp contract violation: " +
+                             violations.front().message);
 #endif
-      cache.unknowns = n;
-      cache.devices = ndev;
-      cache.structure_rev = rev;
-      cache.symbolic.reset();
-      cache.slots.reset();
-      cache.skeleton =
-          std::make_shared<const num::RealSparseMatrix>(mna_pattern(nl));
-    }
-    cache_ = &cache;
-    sjac_ = *cache.skeleton;
-    slu_.reset();
-    exported_serial_ = -1;
-    if (cache.symbolic) {
-      slu_.adopt_symbolic(cache.symbolic);
-      exported_serial_ = slu_.symbolic_serial();
-    }
-    // Stamp-slot tables: adopt the cache's immutable snapshot when it
-    // matches this skeleton (the MC-sample fast path: the nominal
-    // build's resolve is inherited and replayed from the very first
-    // assembly).  Otherwise start a fresh table with the node-diagonal
-    // slots resolved up front and publish it, so even the free
-    // assemble_* functions stop searching the gshunt diagonal.
-    if (cache.slots && cache.slots->skeleton == cache.skeleton.get() &&
-        cache.slots->nnz == sjac_.nnz()) {
-      slots_shared_ = cache.slots;
-    } else {
-      const int nodes = nl.node_count() - 1;
-      auto t = std::make_shared<num::StampSlotTables>();
-      t->skeleton = cache.skeleton.get();
-      t->nnz = sjac_.nnz();
-      t->diag.resize(static_cast<std::size_t>(nodes));
-      bool all_found = true;
-      for (int i = 0; i < nodes; ++i) {
-        t->diag[static_cast<std::size_t>(i)] = sjac_.find_index(i, i);
-        if (t->diag[static_cast<std::size_t>(i)] < 0) all_found = false;
-      }
-      if (!all_found) t->diag.clear();  // never true: mna_pattern adds them
-      slots_own_ = std::move(t);
-      publish_slots();
-    }
+    cache.unknowns = n;
+    cache.devices = ndev;
+    cache.structure_rev = rev;
+    cache.symbolic.reset();
+    cache.slots.reset();
+    cache.skeleton =
+        std::make_shared<const num::RealSparseMatrix>(mna_pattern(nl));
+  }
+  cache_ = &cache;
+  sjac_ = *cache.skeleton;
+  slu_.reset();
+  exported_serial_ = -1;
+  if (cache.symbolic) {
+    slu_.adopt_symbolic(cache.symbolic);
+    exported_serial_ = slu_.symbolic_serial();
+  }
+  // Stamp-slot tables: adopt the cache's immutable snapshot when it
+  // matches this skeleton (the MC-sample fast path: the nominal
+  // build's resolve is inherited and replayed from the very first
+  // assembly).  Otherwise start a fresh table with the node-diagonal
+  // slots resolved up front and publish it, so split_ac stops
+  // searching the gshunt diagonal too.
+  if (cache.slots && cache.slots->skeleton == cache.skeleton.get() &&
+      cache.slots->nnz == sjac_.nnz()) {
+    slots_shared_ = cache.slots;
   } else {
-    cache_ = nullptr;
-    djac_.resize(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
+    const int nodes = nl.node_count() - 1;
+    auto t = std::make_shared<num::StampSlotTables>();
+    t->skeleton = cache.skeleton.get();
+    t->nnz = sjac_.nnz();
+    t->diag.resize(static_cast<std::size_t>(nodes));
+    bool all_found = true;
+    for (int i = 0; i < nodes; ++i) {
+      t->diag[static_cast<std::size_t>(i)] = sjac_.find_index(i, i);
+      if (t->diag[static_cast<std::size_t>(i)] < 0) all_found = false;
+    }
+    if (!all_found) t->diag.clear();  // never true: mna_pattern adds them
+    slots_own_ = std::move(t);
+    publish_slots();
   }
   linear_.clear();
   nonlinear_.clear();
   for (const auto& d : nl.devices())
     (d->is_nonlinear() ? nonlinear_ : linear_).push_back(d.get());
-  // Segment each pass into maximal same-concrete-class runs (stamp
-  // order untouched) for the batched loops.
-  auto segment = [](const std::vector<const ckt::Device*>& devs) {
-    std::vector<BatchRun> runs;
-    for (std::size_t i = 0; i < devs.size();) {
-      const int kind = batch_kind(devs[i]);
-      std::size_t j = i + 1;
-      while (j < devs.size() && batch_kind(devs[j]) == kind) ++j;
-      runs.push_back({kind, static_cast<int>(i), static_cast<int>(j)});
-      i = j;
-    }
-    return runs;
-  };
-  linear_runs_ = segment(linear_);
-  nonlinear_runs_ = segment(nonlinear_);
+  linear_runs_ = segment_runs(linear_);
+  nonlinear_runs_ = segment_runs(nonlinear_);
 }
 
 num::StampSlotPass* RealSystem::own_pass(bool newton_pass,
@@ -365,70 +306,48 @@ void RealSystem::stamp_pass(const std::vector<const ckt::Device*>& devs,
                             bool newton_pass, ckt::StampContext& ctx,
                             ckt::AnalysisMode mode) {
   if (devs.empty()) return;
-  if (kind_ == SolverKind::kSparse && use_slots_) {
-    const num::StampSlotPass* rp = replay_pass(newton_pass, mode);
-    if (rp && rp->windows.size() == devs.size()) {
-      bool ok = true;
-      if (use_batches_) {
-        // Windows of a run are contiguous in the slot array; arm the
-        // whole span once per run.
-        for (const BatchRun& run : runs) {
-          const int b = rp->windows[static_cast<std::size_t>(run.begin)].first;
-          const int e =
-              rp->windows[static_cast<std::size_t>(run.end - 1)].second;
-          ctx.arm_slot_replay(rp->slots.data() + b, e - b);
-          stamp_run(run.kind, devs.data() + run.begin,
-                    static_cast<std::size_t>(run.end - run.begin), ctx);
-          if (!ctx.finish_slot_replay()) ok = false;
-        }
-      } else {
-        for (std::size_t i = 0; i < devs.size(); ++i) {
-          const auto [b, e] = rp->windows[i];
-          ctx.arm_slot_replay(rp->slots.data() + b, e - b);
-          devs[i]->stamp(ctx);
-          if (!ctx.finish_slot_replay()) ok = false;
-        }
-      }
-      if (!ok) {
-        // A device emitted writes its table does not predict (a gmin or
-        // mode-dependent branch flipped).  The matrix above is still
-        // correct -- mismatched writes fell back to the searched path --
-        // but schedule a re-record so the next assembly is fast again.
-        ensure_own_slots();
-        own_pass(newton_pass, mode)->recorded = false;
-      }
-      return;
-    }
-    // Record: one searched assembly that resolves every write into its
-    // CSR value index, with per-device windows for later replay.
-    ensure_own_slots();
-    num::StampSlotPass* pass = own_pass(newton_pass, mode);
-    pass->slots.clear();
-    pass->windows.clear();
-    pass->windows.reserve(devs.size());
-    ctx.arm_slot_record(&pass->slots);
-    for (const ckt::Device* d : devs) {
-      const int b = static_cast<int>(pass->slots.size());
-      d->stamp(ctx);
-      pass->windows.emplace_back(b, static_cast<int>(pass->slots.size()));
-    }
-    ctx.disarm_slots();
-    pass->recorded = true;
-    publish_slots();
-    return;
-  }
-  // Legacy searched path (dense target, or slots disabled): still
-  // batched when enabled -- batching and slot replay are independent.
-  if (use_batches_) {
-    for (const BatchRun& run : runs)
+  const num::StampSlotPass* rp = replay_pass(newton_pass, mode);
+  if (rp && rp->windows.size() == devs.size()) {
+    // Windows of a run are contiguous in the slot array; arm the whole
+    // span once per run.
+    bool ok = true;
+    for (const BatchRun& run : runs) {
+      const int b = rp->windows[static_cast<std::size_t>(run.begin)].first;
+      const int e = rp->windows[static_cast<std::size_t>(run.end - 1)].second;
+      ctx.arm_slot_replay(rp->slots.data() + b, e - b);
       stamp_run(run.kind, devs.data() + run.begin,
                 static_cast<std::size_t>(run.end - run.begin), ctx);
-  } else {
-    for (const ckt::Device* d : devs) d->stamp(ctx);
+      if (!ctx.finish_slot_replay()) ok = false;
+    }
+    if (!ok) {
+      // A device emitted writes its table does not predict (a gmin or
+      // mode-dependent branch flipped).  The matrix above is still
+      // correct -- mismatched writes fell back to the searched path --
+      // but schedule a re-record so the next assembly is fast again.
+      ensure_own_slots();
+      own_pass(newton_pass, mode)->recorded = false;
+    }
+    return;
   }
+  // Record: one searched assembly that resolves every write into its
+  // CSR value index, with per-device windows for later replay.
+  ensure_own_slots();
+  num::StampSlotPass* pass = own_pass(newton_pass, mode);
+  pass->slots.clear();
+  pass->windows.clear();
+  pass->windows.reserve(devs.size());
+  ctx.arm_slot_record(&pass->slots);
+  for (const ckt::Device* d : devs) {
+    const int b = static_cast<int>(pass->slots.size());
+    d->stamp(ctx);
+    pass->windows.emplace_back(b, static_cast<int>(pass->slots.size()));
+  }
+  ctx.disarm_slots();
+  pass->recorded = true;
+  publish_slots();
 }
 
-void RealSystem::PhaseClock::begin() {
+void detail::PhaseClock::begin() {
   const long i = calls++;
   weight = i < kExactCalls
                ? 1
@@ -436,41 +355,23 @@ void RealSystem::PhaseClock::begin() {
   if (weight != 0) t0 = Clock::now();
 }
 
-long RealSystem::PhaseClock::end_ns() const {
+long detail::PhaseClock::end_ns() const {
   return weight != 0 ? weight * ns_since(t0) : 0;
 }
 
 void RealSystem::assemble(const ckt::Netlist& nl, const num::RealVector& x,
                           const AssembleParams& p) {
   stamp_clock_.begin();
-  if (kind_ != SolverKind::kSparse) {
-    assemble_real(nl, x, p, djac_, rhs_);
-    stats_.stamp_ns += stamp_clock_.end_ns();
-    return;
-  }
   if (!base_valid_ || !(p == base_p_)) {
     // Stamp every x-independent device (and the gshunt guard) once for
     // this parameter set; Newton iterations below only restore it.
     sjac_.clear_values();
     base_rhs_.assign(static_cast<std::size_t>(n_), 0.0);
     ckt::StampContext ctx(p.mode, x, sjac_, base_rhs_);
-    ctx.time = p.time;
-    ctx.dt = p.dt;
-    ctx.temp_k = p.temp_k;
-    ctx.gmin = p.gmin;
-    ctx.use_trapezoidal = p.use_trapezoidal;
-    ctx.source_scale = p.source_scale;
+    apply_params(p, ctx);
     stamp_pass(linear_, linear_runs_, /*newton_pass=*/false, ctx, p.mode);
-    const int nodes = nl.node_count() - 1;
-    const num::StampSlotTables* t =
-        slots_own_ ? slots_own_.get() : slots_shared_.get();
-    if (use_slots_ && t && static_cast<int>(t->diag.size()) == nodes) {
-      auto& vals = sjac_.values();
-      for (int i = 0; i < nodes; ++i)
-        vals[static_cast<std::size_t>(t->diag[i])] += p.gshunt;
-    } else {
-      for (int i = 0; i < nodes; ++i) sjac_.add(i, i, p.gshunt);
-    }
+    add_gshunt_diag(slots_own_ ? slots_own_.get() : slots_shared_.get(),
+                    nl.node_count() - 1, sjac_, p.gshunt);
     base_vals_ = sjac_.values();
     base_p_ = p;
     base_valid_ = true;
@@ -479,12 +380,7 @@ void RealSystem::assemble(const ckt::Netlist& nl, const num::RealVector& x,
   }
   rhs_ = base_rhs_;
   ckt::StampContext ctx(p.mode, x, sjac_, rhs_);
-  ctx.time = p.time;
-  ctx.dt = p.dt;
-  ctx.temp_k = p.temp_k;
-  ctx.gmin = p.gmin;
-  ctx.use_trapezoidal = p.use_trapezoidal;
-  ctx.source_scale = p.source_scale;
+  apply_params(p, ctx);
   stamp_pass(nonlinear_, nonlinear_runs_, /*newton_pass=*/true, ctx, p.mode);
   // Fault-injection site: a device evaluation producing NaN surfaces in
   // the assembled system exactly like a real model-evaluation blow-up
@@ -501,12 +397,7 @@ void RealSystem::assemble_rhs_only(const ckt::Netlist& nl,
   stamp_clock_.begin();
   rhs_.assign(static_cast<std::size_t>(n_), 0.0);
   ckt::StampContext ctx(p.mode, x, rhs_);
-  ctx.time = p.time;
-  ctx.dt = p.dt;
-  ctx.temp_k = p.temp_k;
-  ctx.gmin = p.gmin;
-  ctx.use_trapezoidal = p.use_trapezoidal;
-  ctx.source_scale = p.source_scale;
+  apply_params(p, ctx);
   for (const auto& d : nl.devices()) d->stamp(ctx);
   // gshunt is Jacobian-only; nothing to add on the rhs.
   stats_.stamp_ns += stamp_clock_.end_ns();
@@ -522,39 +413,27 @@ bool RealSystem::factor(const char* reason) {
   // and the stale-LU invalidation contract in the transient workspace).
   if (MSIM_FAULTPOINT("sparse_factor_fail")) return false;
   factor_clock_.begin();
-  if (kind_ == SolverKind::kSparse) {
-    slu_.factor(sjac_);
-    stats_.factor_ns += factor_clock_.end_ns();
-    if (slu_.singular()) return false;
-    // A fresh analysis ran (first factor, or a pivot-floor re-analysis):
-    // publish it so the netlist's other systems can adopt it.
-    if (cache_ && slu_.symbolic_serial() != exported_serial_) {
-      cache_->symbolic = slu_.export_symbolic();
-      exported_serial_ = slu_.symbolic_serial();
-    }
-    return true;
-  }
-  dlu_.factor(djac_);
+  slu_.factor(sjac_);
   stats_.factor_ns += factor_clock_.end_ns();
-  return !dlu_.singular();
+  if (slu_.singular()) return false;
+  // A fresh analysis ran (first factor, or a pivot-floor re-analysis):
+  // publish it so the netlist's other systems can adopt it.
+  if (cache_ && slu_.symbolic_serial() != exported_serial_) {
+    cache_->symbolic = slu_.export_symbolic();
+    exported_serial_ = slu_.symbolic_serial();
+  }
+  return true;
 }
 
-int RealSystem::singular_col() const {
-  return kind_ == SolverKind::kSparse ? slu_.singular_col()
-                                      : dlu_.singular_col();
-}
+int RealSystem::singular_col() const { return slu_.singular_col(); }
 
-double RealSystem::min_pivot() const {
-  return kind_ == SolverKind::kSparse ? slu_.min_pivot() : dlu_.min_pivot();
-}
+double RealSystem::min_pivot() const { return slu_.min_pivot(); }
 
 double RealSystem::condition_estimate() const {
-  return kind_ == SolverKind::kSparse ? slu_.condition_estimate() : 0.0;
+  return slu_.condition_estimate();
 }
 
-double RealSystem::pivot_growth() const {
-  return kind_ == SolverKind::kSparse ? slu_.pivot_growth() : 0.0;
-}
+double RealSystem::pivot_growth() const { return slu_.pivot_growth(); }
 
 namespace {
 
@@ -569,11 +448,6 @@ constexpr double kCondCheckThreshold = 1e12;
 
 void RealSystem::solve(num::RealVector& x) {
   solve_clock_.begin();
-  if (kind_ != SolverKind::kSparse) {
-    dlu_.solve(rhs_, x);
-    stats_.solve_ns += solve_clock_.end_ns();
-    return;
-  }
   slu_.solve(rhs_, x);
 
   // Numerical-health monitor: on an ill-conditioned factorization (or
@@ -640,21 +514,9 @@ void RealSystem::solve_modified(const num::RealVector& x,
   solve_clock_.begin();
   const std::size_t n = static_cast<std::size_t>(n_);
   // Residual of the Norton form: r = rhs - A x (fresh values, stale LU).
-  if (kind_ == SolverKind::kSparse) {
-    sjac_.multiply(x, res_);
-  } else {
-    res_.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < n; ++j) acc += djac_(i, j) * x[j];
-      res_[i] = acc;
-    }
-  }
+  sjac_.multiply(x, res_);
   for (std::size_t i = 0; i < n; ++i) res_[i] = rhs_[i] - res_[i];
-  if (kind_ == SolverKind::kSparse)
-    slu_.solve(res_, dx_);
-  else
-    dlu_.solve(res_, dx_);
+  slu_.solve(res_, dx_);
   x_new.resize(n);
   for (std::size_t i = 0; i < n; ++i) x_new[i] = x[i] + dx_[i];
   ++stats_.reuse_count;
@@ -662,10 +524,7 @@ void RealSystem::solve_modified(const num::RealVector& x,
 }
 
 void RealSystem::solve_held(const num::RealVector& b, num::RealVector& y) {
-  if (kind_ == SolverKind::kSparse)
-    slu_.solve(b, y);
-  else
-    dlu_.solve(b, y);
+  slu_.solve(b, y);
 }
 
 // ----------------------------------------------------------- EnsembleSystem
@@ -688,19 +547,14 @@ struct EnsembleSystem::Impl {
   // same list position holds the lane-local instance of one circuit
   // position in every lane.
   std::vector<std::vector<const ckt::Device*>> lin, nonlin;
-  struct Run {
-    int kind = 0;  // BatchKind
-    int begin = 0;
-    int end = 0;
-  };
-  std::vector<Run> lin_runs, nonlin_runs;  // segmented from lane 0
+  std::vector<detail::BatchRun> lin_runs, nonlin_runs;  // from lane 0
   // Private mutable slot tables, seeded from the nominal lane's cache
   // when valid but never published back (the per-sample path owns that
   // protocol; nothing aliases these).
   num::StampSlotTables tables;
   num::RealVector res, dx;
   FactorStats stats;
-  SampledClock stamp_clock, factor_clock, solve_clock;
+  detail::PhaseClock stamp_clock, factor_clock, solve_clock;
   // Per-call staging, reused across calls to avoid reallocation.  The
   // contexts are rebuilt each assemble -- they hold references into
   // that call's rhs/xs vectors.
@@ -720,12 +574,7 @@ struct EnsembleSystem::Impl {
                               double* lane_base) {
     ctxs.emplace_back(p.mode, x, scratch, r);
     ckt::StampContext& c = ctxs.back();
-    c.time = p.time;
-    c.dt = p.dt;
-    c.temp_k = p.temp_k;
-    c.gmin = p.gmin;
-    c.use_trapezoidal = p.use_trapezoidal;
-    c.source_scale = p.source_scale;
+    apply_params(p, c);
     c.set_slot_target(lane_base, nlanes);
     return c;
   }
@@ -757,7 +606,8 @@ struct EnsembleSystem::Impl {
   void lane_pass(const int* active, int nactive,
                  std::vector<ckt::StampContext>& cxs,
                  const std::vector<std::vector<const ckt::Device*>>& devlists,
-                 const std::vector<Run>& runs, num::StampSlotPass& pass) {
+                 const std::vector<detail::BatchRun>& runs,
+                 num::StampSlotPass& pass) {
     const std::size_t ndev =
         devlists[static_cast<std::size_t>(active[0])].size();
     if (ndev == 0) return;
@@ -786,7 +636,7 @@ struct EnsembleSystem::Impl {
       return;
     }
     bool ok = true;
-    for (const Run& run : runs) {
+    for (const detail::BatchRun& run : runs) {
       devp.clear();
       ctxp.clear();
       for (int i = 0; i < nactive; ++i) {
@@ -900,19 +750,8 @@ bool EnsembleSystem::init(const std::vector<ckt::Netlist*>& lanes) {
   for (std::size_t k = 0; k < lanes.size(); ++k)
     for (const auto& d : lanes[k]->devices())
       (d->is_nonlinear() ? im.nonlin[k] : im.lin[k]).push_back(d.get());
-  auto segment = [](const std::vector<const ckt::Device*>& devs) {
-    std::vector<Impl::Run> runs;
-    for (std::size_t i = 0; i < devs.size();) {
-      const int kind = batch_kind(devs[i]);
-      std::size_t j = i + 1;
-      while (j < devs.size() && batch_kind(devs[j]) == kind) ++j;
-      runs.push_back({kind, static_cast<int>(i), static_cast<int>(j)});
-      i = j;
-    }
-    return runs;
-  };
-  im.lin_runs = segment(im.lin[0]);
-  im.nonlin_runs = segment(im.nonlin[0]);
+  im.lin_runs = segment_runs(im.lin[0]);
+  im.nonlin_runs = segment_runs(im.nonlin[0]);
   im.ctxs.reserve(static_cast<std::size_t>(im.nlanes));
   return true;
 }
@@ -1075,11 +914,8 @@ void EnsembleSystem::update(const int* active, int nactive, const bool* fresh,
   im.stats.solve_ns += im.solve_clock.end_ns();
 }
 
-AcSplit split_ac(const ckt::Netlist& nl, SolverKind kind, double gshunt) {
+AcSplit split_ac(const ckt::Netlist& nl, double gshunt) {
   AcSplit split;
-  split.kind = kind;
-  split.gshunt = gshunt;
-  if (kind != SolverKind::kSparse) return split;
   // Adopt the structural work of the large-signal system (the usual
   // case: AC/noise run after solve_op).
   const int n = nl.unknown_count();
@@ -1141,7 +977,8 @@ AcSplit split_ac(const ckt::Netlist& nl, SolverKind kind, double gshunt) {
       cache.slots = std::move(nt);
     }
   }
-  add_gshunt_diag(nl, a, gshunt);
+  add_gshunt_diag(cached ? cache.slots.get() : nullptr, nl.node_count() - 1,
+                  a, gshunt);
   const auto& v = a.values();
   split.g.resize(v.size());
   split.c.resize(v.size());
@@ -1152,24 +989,14 @@ AcSplit split_ac(const ckt::Netlist& nl, SolverKind kind, double gshunt) {
   return split;
 }
 
-void ComplexSystem::init(const ckt::Netlist& nl, const AcSplit& split) {
-  nl_ = &nl;
+void ComplexSystem::init(const AcSplit& split) {
   split_ = &split;
-  if (split.kind == SolverKind::kSparse) {
-    sjac_ = num::ComplexSparseMatrix(*split.skeleton);
-    slu_.reset();
-    if (split.symbolic) slu_.adopt_symbolic(split.symbolic);
-  } else {
-    const auto n = static_cast<std::size_t>(nl.unknown_count());
-    djac_.resize(n, n);
-  }
+  sjac_ = num::ComplexSparseMatrix(*split.skeleton);
+  slu_.reset();
+  if (split.symbolic) slu_.adopt_symbolic(split.symbolic);
 }
 
 void ComplexSystem::assemble(double omega) {
-  if (split_->kind != SolverKind::kSparse) {
-    assemble_ac(*nl_, omega, split_->gshunt, djac_, rhs_);
-    return;
-  }
   auto& vals = sjac_.values();
   const double* g = split_->g.data();
   const double* c = split_->c.data();
@@ -1179,37 +1006,19 @@ void ComplexSystem::assemble(double omega) {
 
 bool ComplexSystem::factor() {
   g_factor_calls.fetch_add(1, std::memory_order_relaxed);
-  if (split_->kind == SolverKind::kSparse) {
-    slu_.factor(sjac_);
-    return !slu_.singular();
-  }
-  dlu_.factor(djac_);
-  return !dlu_.singular();
+  slu_.factor(sjac_);
+  return !slu_.singular();
 }
 
-int ComplexSystem::singular_col() const {
-  return split_->kind == SolverKind::kSparse ? slu_.singular_col()
-                                             : dlu_.singular_col();
-}
+int ComplexSystem::singular_col() const { return slu_.singular_col(); }
 
-double ComplexSystem::min_pivot() const {
-  return split_->kind == SolverKind::kSparse ? slu_.min_pivot()
-                                             : dlu_.min_pivot();
-}
+double ComplexSystem::min_pivot() const { return slu_.min_pivot(); }
 
-void ComplexSystem::solve(num::ComplexVector& x) {
-  if (split_->kind == SolverKind::kSparse)
-    slu_.solve(rhs_, x);
-  else
-    dlu_.solve(rhs_, x);
-}
+void ComplexSystem::solve(num::ComplexVector& x) { slu_.solve(rhs_, x); }
 
 void ComplexSystem::solve_transpose(const num::ComplexVector& b,
                                     num::ComplexVector& x) {
-  if (split_->kind == SolverKind::kSparse)
-    slu_.solve_transpose(b, x);
-  else
-    dlu_.solve_transpose(b, x);
+  slu_.solve_transpose(b, x);
 }
 
 }  // namespace msim::an

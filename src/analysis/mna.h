@@ -1,13 +1,13 @@
 // MNA system assembly shared by all analyses.
 //
-// Two assembly targets exist for each system:
-//   dense  - the historical Matrix path: fill(0) + stamp, O(n^2) per
-//            assembly, dense O(n^3) LU.  Robust fallback.
-//   sparse - a fixed SparsityPattern captured once per netlist from
-//            Device::declare_stamps(); re-assembly clears and rewrites
-//            only the nonzeros, and SparseLu caches its pivot order and
-//            fill pattern across factorizations (Newton iterations,
-//            transient steps, AC/noise frequency points).
+// One production engine: a fixed SparsityPattern captured once per
+// netlist from Device::declare_stamps(); re-assembly replays cached CSR
+// value indices (stamp slots) through devirtualized per-class device
+// loops, and SparseLu caches its pivot order and fill pattern across
+// factorizations (Newton iterations, transient steps, AC/noise
+// frequency points).  The dense assemble_real() below serves only the
+// range, sensitivity and .tf paths; the dense and searched reference
+// engines live with the tests (tests/dense_oracle.h).
 //
 // RealSystem / ComplexSystem bundle matrix + factorization + buffers so
 // the Newton and frequency loops allocate nothing per iteration.
@@ -20,16 +20,10 @@
 #include <vector>
 
 #include "circuit/netlist.h"
-#include "numeric/lu.h"
 #include "numeric/matrix.h"
 #include "numeric/sparse.h"
 
 namespace msim::an {
-
-// Linear-solver selection knob carried by the analysis options.
-// kSparse is the default engine; kDense keeps the historical dense path
-// (useful as a fallback and as the reference in equivalence tests).
-enum class SolverKind { kDense, kSparse };
 
 // Parameters controlling one large-signal assembly pass.
 struct AssembleParams {
@@ -47,9 +41,9 @@ struct AssembleParams {
   bool operator==(const AssembleParams&) const = default;
 };
 
-// Process-wide count of LU factorization attempts (dense + sparse,
-// real + complex).  Tests assert on deltas to prove the static
-// pre-pass rejects bad topologies *before* any factorization runs.
+// Process-wide count of LU factorization attempts (real + complex).
+// Tests assert on deltas to prove the static pre-pass rejects bad
+// topologies *before* any factorization runs.
 long factor_call_count();
 
 // Factorization-reuse telemetry kept by one RealSystem.  The modified
@@ -89,43 +83,67 @@ struct FactorStats {
 
 // Stamp-position envelope of the netlist: every device's declared
 // positions plus the node-diagonal gshunt entries (registered here so
-// lint-passing but capacitor-only-node netlists stay regular in sparse
-// mode exactly as they do in dense mode).  Requires assign_unknowns().
+// lint-passing but capacitor-only-node netlists stay regular).
+// Requires assign_unknowns().
 num::SparsityPattern mna_pattern(const ckt::Netlist& nl);
 
-// Builds jac/rhs (sized n x n / n) for the Newton system jac*x_next = rhs
-// linearized around candidate `x`.
+// Builds the dense jac/rhs (sized n x n / n) for the Newton system
+// jac*x_next = rhs linearized around candidate `x`, stamping every
+// device in netlist order.  The range, sensitivity and .tf analyses
+// use it for their one-off dense solves.
 void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
                    const AssembleParams& p, num::RealMatrix& jac,
                    num::RealVector& rhs);
-// Sparse target: jac must have been built from mna_pattern(nl).
-void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
-                   const AssembleParams& p, num::RealSparseMatrix& jac,
-                   num::RealVector& rhs);
 
-// Builds the complex small-signal system at angular frequency omega by
-// a direct stamp_ac pass over every device (the dense reference path of
-// ComplexSystem).  Devices must have a saved operating point (save_op()).
-void assemble_ac(const ckt::Netlist& nl, double omega, double gshunt,
-                 num::ComplexMatrix& jac, num::ComplexVector& rhs);
+namespace detail {
 
-// Reusable workspace for the large-signal Newton systems: one matrix
-// (dense or sparse by SolverKind), one factorization whose symbolic
-// analysis persists across factor() calls, and the rhs buffer.
-//
-// The sparse path additionally
+// A maximal run of consecutive same-concrete-class devices inside a
+// linear or nonlinear device list (segmentation preserves stamp order
+// exactly, so batched assembly is bit-identical to the per-device
+// loop).
+struct BatchRun {
+  int kind = 0;  // BatchKind (mna.cc); 0 = heterogeneous/virtual
+  int begin = 0;
+  int end = 0;
+};
+
+// Sampled phase timer behind the stamp/factor/solve breakdown: the
+// first calls of a phase are timed exactly, later ones 1-in-N with the
+// measured duration scaled by N (mna.cc).  A clock read costs ~30 ns
+// on this class of host -- exact per-call timing measurably slowed
+// tiny systems (the 3-unknown linear-rc bench), while the sampled
+// estimate converges on exactly the homogeneous hot loops where the
+// breakdown matters.  RealSystem ticks it per call, EnsembleSystem per
+// cohort call.
+struct PhaseClock {
+  long calls = 0;
+  long weight = 0;  // 0 = untimed call, else ns multiplier
+  std::chrono::steady_clock::time_point t0;
+  void begin();
+  long end_ns() const;
+};
+
+}  // namespace detail
+
+// Reusable workspace for the large-signal Newton systems: one sparse
+// matrix, one factorization whose symbolic analysis persists across
+// factor() calls, and the rhs buffer.  It
 //   - shares pattern + symbolic analysis through the netlist's
 //     num::SolverCache (so AC/noise systems over the same netlist skip
-//     their own Markowitz analysis), and
+//     their own Markowitz analysis),
 //   - caches a "linear base" image: all x-independent devices (plus
 //     gshunt) are stamped once per AssembleParams set, and each Newton
 //     iteration restores that image and restamps only the nonlinear
-//     devices.
+//     devices, and
+//   - replays each pass through recorded stamp slots (cached CSR value
+//     indices) in devirtualized per-class batches, recording a pass by
+//     one searched assembly the first time it runs and again whenever
+//     a device's writes stop matching its recording.
 class RealSystem {
  public:
   // Builds the workspace for `nl` (after assign_unknowns()).  Safe to
   // call again; rebuilds only when the netlist shape changed.
-  void init(const ckt::Netlist& nl, SolverKind kind);
+  void init(const ckt::Netlist& nl);
 
   void assemble(const ckt::Netlist& nl, const num::RealVector& x,
                 const AssembleParams& p);
@@ -141,8 +159,8 @@ class RealSystem {
   bool factor(const char* reason = "full_newton");
   int singular_col() const;
   double min_pivot() const;
-  // Numerical-health probes of the last sparse factorization (0.0 in
-  // dense mode or before any factor()): a cheap condition-number lower
+  // Numerical-health probes of the last factorization (0.0 before any
+  // factor()): a cheap condition-number lower
   // bound from the cached LU's U-diagonal extremes, and the pivot
   // growth max|U_ii| / max|A_ij|.  solve() uses the condition estimate
   // to gate a residual check + one round of iterative refinement (see
@@ -183,41 +201,14 @@ class RealSystem {
   // of AssembleParams (the transient loop does this every step).
   void invalidate_base() { base_valid_ = false; }
 
-  // Assembly acceleration knobs (sparse path; the A/B handles behind
-  // the bench harness's assembly_configs section).  `use_slots` replays
-  // cached CSR value indices instead of binary-searching every write;
-  // `use_batches` stamps homogeneous device runs through one
-  // devirtualized loop per concrete class.  Both default on; turning
-  // them off restores the searched per-device-virtual legacy path,
-  // which doubles as the test oracle.  Changing modes invalidates the
-  // cached base image (the stamp ORDER of the base pass may differ
-  // between the batched and free-function paths only in telemetry, not
-  // values, but staying conservative costs one restamp).
-  void set_assembly_modes(bool use_slots, bool use_batches) {
-    if (use_slots != use_slots_ || use_batches != use_batches_)
-      base_valid_ = false;
-    use_slots_ = use_slots;
-    use_batches_ = use_batches;
-  }
-  bool slots_enabled() const { return use_slots_; }
-  bool batches_enabled() const { return use_batches_; }
-
   num::RealVector& rhs() { return rhs_; }
-  SolverKind kind() const { return kind_; }
-  // Read-only view of the assembled sparse Jacobian (valid after
-  // assemble() in kSparse mode; the batched-vs-legacy oracle tests
-  // compare its value array bit-for-bit across assembly modes).
+  // Read-only view of the assembled Jacobian (valid after assemble();
+  // the PSS history matrix copies it, and the oracle tests compare its
+  // value array bit-for-bit against a searched reference assembly).
   const num::RealSparseMatrix& sparse_jac() const { return sjac_; }
 
  private:
-  // A maximal run of consecutive same-concrete-class devices inside
-  // linear_ or nonlinear_ (segmentation preserves stamp order exactly,
-  // so batched assembly is bit-identical to the per-device loop).
-  struct BatchRun {
-    int kind = 0;  // BatchKind (mna.cc); 0 = heterogeneous/virtual
-    int begin = 0;
-    int end = 0;
-  };
+  using BatchRun = detail::BatchRun;
 
   void stamp_pass(const std::vector<const ckt::Device*>& devs,
                   const std::vector<BatchRun>& runs, bool newton_pass,
@@ -228,21 +219,18 @@ class RealSystem {
   void ensure_own_slots();
   void publish_slots();
 
-  SolverKind kind_ = SolverKind::kSparse;
   int n_ = -1;
   std::size_t devices_ = 0;
   std::uint64_t structure_rev_ = 0;  // netlist revision init() ran for
-  num::RealMatrix djac_;
-  num::RealLu dlu_;
   num::RealSparseMatrix sjac_;
   num::RealSparseLu slu_;
   num::RealVector rhs_;
-  // Netlist-owned structural cache (sparse path); symbolic exported to
-  // it after every fresh analysis.
+  // Netlist-owned structural cache; symbolic exported to it after every
+  // fresh analysis.
   num::SolverCache* cache_ = nullptr;
   int exported_serial_ = -1;
-  // Linear/nonlinear device split (both paths; feeds the sparse base
-  // image and all_linear()).
+  // Linear/nonlinear device split (feeds the base image and
+  // all_linear()).
   std::vector<const ckt::Device*> linear_, nonlinear_;
   std::vector<BatchRun> linear_runs_, nonlinear_runs_;
   // Stamp-slot tables: `slots_shared_` is an immutable snapshot adopted
@@ -253,9 +241,7 @@ class RealSystem {
   // the cache never aliases mutable state.
   std::shared_ptr<const num::StampSlotTables> slots_shared_;
   std::shared_ptr<num::StampSlotTables> slots_own_;
-  bool use_slots_ = true;
-  bool use_batches_ = true;
-  // Linear base image (sparse path).
+  // Linear base image.
   bool base_valid_ = false;
   AssembleParams base_p_;
   std::vector<double> base_vals_;
@@ -263,21 +249,7 @@ class RealSystem {
   // Modified-Newton scratch (solve_modified forbids aliasing b with x).
   num::RealVector res_, dx_;
   FactorStats stats_;
-  // Sampled phase timer behind the stamp/factor/solve breakdown: the
-  // first calls of a phase are timed exactly, later ones 1-in-N with
-  // the measured duration scaled by N (mna.cc).  A clock read costs
-  // ~30 ns on this class of host -- exact per-call timing measurably
-  // slowed tiny systems (the 3-unknown linear-rc bench), while the
-  // sampled estimate converges on exactly the homogeneous hot loops
-  // where the breakdown matters.
-  struct PhaseClock {
-    long calls = 0;
-    long weight = 0;  // 0 = untimed call, else ns multiplier
-    std::chrono::steady_clock::time_point t0;
-    void begin();
-    long end_ns() const;
-  };
-  PhaseClock stamp_clock_, factor_clock_, solve_clock_;
+  detail::PhaseClock stamp_clock_, factor_clock_, solve_clock_;
 };
 
 // Lockstep Monte-Carlo assembly across N same-topology netlists
@@ -351,35 +323,31 @@ class EnsembleSystem {
 // contract).  Sparse engine: `g` and `c` hold one value per slot of
 // `skeleton` -- the netlist's shared CSR whenever its solver cache has
 // one -- so a frequency point forms values[k] = {g[k], omega * c[k]}
-// with no device pass.  Dense engine: only `kind` and `gshunt` are set
-// and every point stamps directly (the reference path).  AC/noise chunk
-// workers share one split read-only.
+// with no device pass.  AC/noise chunk workers share one split
+// read-only.
 struct AcSplit {
-  SolverKind kind = SolverKind::kSparse;
-  double gshunt = 0.0;
   std::shared_ptr<const num::RealSparseMatrix> skeleton;
   std::shared_ptr<const num::SparseSymbolic> symbolic;  // may be null
   std::vector<double> g, c;
   num::ComplexVector rhs;
 };
 
-// Builds the split.  Sparse: one stamp_ac pass at omega = 1, replaying
+// Builds the split: one stamp_ac pass at omega = 1, replaying
 // the netlist cache's recorded AC slot pass when present, else
 // recording it and publishing it copy-on-write, so later analyses --
 // and later jobs adopting the cache through the serve registry --
 // assemble search-free.  Serial path only: may write the netlist's
 // solver cache, so never call it while chunk workers run over `nl`.
-AcSplit split_ac(const ckt::Netlist& nl, SolverKind kind, double gshunt);
+AcSplit split_ac(const ckt::Netlist& nl, double gshunt);
 
 // Per-worker small-signal workspace (AC, noise): one matrix, one
 // factorization whose symbolic analysis persists across frequency
 // points, and the rhs buffer.
 class ComplexSystem {
  public:
-  // Binds the system to `split` over `nl`; both must outlive it.
-  void init(const ckt::Netlist& nl, const AcSplit& split);
-  // Forms A(omega) and the excitation: from the split on the sparse
-  // engine, by a direct stamp_ac pass on the dense one.
+  // Binds the system to `split`, which must outlive it.
+  void init(const AcSplit& split);
+  // Forms A(omega) and the excitation from the split.
   void assemble(double omega);
   bool factor();
   int singular_col() const;
@@ -389,10 +357,7 @@ class ComplexSystem {
   void solve_transpose(const num::ComplexVector& b, num::ComplexVector& x);
 
  private:
-  const ckt::Netlist* nl_ = nullptr;
   const AcSplit* split_ = nullptr;
-  num::ComplexMatrix djac_;
-  num::ComplexLu dlu_;
   num::ComplexSparseMatrix sjac_;
   num::ComplexSparseLu slu_;
   num::ComplexVector rhs_;

@@ -116,7 +116,7 @@ NoiseResult run_noise_diag(ckt::Netlist& nl,
   const std::size_t nf = freqs_hz.size();
   // Serial G + jwC split (see run_ac_diag), shared read-only by the
   // chunk workers below.
-  const AcSplit split = split_ac(nl, opt.solver, opt.gshunt);
+  const AcSplit split = split_ac(nl, opt.gshunt);
   int threads = opt.threads == 0 ? core::default_thread_count()
                                  : std::max(1, opt.threads);
   const std::size_t nchunks =
@@ -148,7 +148,7 @@ NoiseResult run_noise_diag(ckt::Netlist& nl,
         const std::size_t hi = nf * (c + 1) / nchunks;
         if (lo >= hi) return;
         ComplexSystem sys;
-        sys.init(nl, split);
+        sys.init(split);
         num::ComplexVector x, y, e;
         for (std::size_t k = lo; k < hi; ++k) {
           const double f = freqs_hz[k];

@@ -32,8 +32,6 @@ struct NoiseOptions {
   // Mandatory-by-default static pre-pass (an::preflight), as in
   // AcOptions: structural errors return kBadTopology at stage "lint".
   bool lint = true;
-  // Linear-solver engine for the complex systems.
-  SolverKind solver = SolverKind::kSparse;
   // Worker threads for the frequency grid (1 = serial, 0 = auto).  The
   // per-point solves parallelize over contiguous chunks; the trapezoidal
   // integration runs as a sequential pass afterwards, so results are

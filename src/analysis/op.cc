@@ -175,7 +175,7 @@ OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt) {
 
   NewtonOutcome out;
   NewtonWorkspace ws;
-  ws.sys.init(nl, opt.solver);
+  ws.sys.init(nl);
   // Copies the workspace's factorization telemetry into the result on
   // every exit path below.
   auto finish = [&]() -> OpResult& {

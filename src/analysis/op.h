@@ -28,10 +28,6 @@ struct OpOptions {
   // cutsets, dangling terminals) to kBadTopology as well.
   bool lint = true;
   bool lint_strict = false;
-  // Linear-solver engine.  kSparse assembles into the fixed stamp
-  // pattern and reuses the cached symbolic LU across all Newton
-  // iterations and homotopy stages; kDense is the historical fallback.
-  SolverKind solver = SolverKind::kSparse;
   // Optional run budget / cancel hook, polled once per Newton iteration
   // (all homotopy stages).  On expiry the solve stops with a
   // kBudgetExceeded / kCancelled diag instead of running the remaining

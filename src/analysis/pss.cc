@@ -109,7 +109,7 @@ class PhiPropagator final : public TranStepHook {
   void build(const ckt::Netlist& nl, const num::RealVector& x,
              const AssembleParams& p) {
     RealSystem sys;
-    sys.init(nl, SolverKind::kSparse);
+    sys.init(nl);
     AssembleParams pa = p;
     pa.dt = dt_base_;
     pa.use_trapezoidal = true;

@@ -410,7 +410,6 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
     op_opt.gshunt = opt.gshunt;
     op_opt.lint = opt.lint;
     op_opt.lint_strict = opt.lint_strict;
-    op_opt.solver = opt.solver;
     op_opt.budget = opt.budget;
     const OpResult op = solve_op(nl, op_opt);
     if (!op.converged) {
@@ -437,7 +436,7 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
   p.gshunt = opt.gshunt;
   p.use_trapezoidal = opt.use_trapezoidal;
 
-  ws.sys.init(nl, opt.solver);
+  ws.sys.init(nl);
   // Linear fast path: no nonlinear devices means the implicit step is a
   // single exact solve, and the factorization survives the whole
   // constant-dt run (fixed-step mode only; adaptive runs change dt on
@@ -711,7 +710,7 @@ bool same_tran_options(const TranOptions& a, const TranOptions& b) {
          a.max_halvings == b.max_halvings && a.record == b.record &&
          a.record_after == b.record_after && a.adaptive == b.adaptive &&
          a.dt_min == b.dt_min && a.dt_max == b.dt_max &&
-         a.lte_tol == b.lte_tol && a.solver == b.solver &&
+         a.lte_tol == b.lte_tol &&
          a.reuse_factorization == b.reuse_factorization &&
          a.linear_fast_path == b.linear_fast_path &&
          a.initial_state == b.initial_state &&
@@ -915,7 +914,6 @@ void run_ensemble_block(EnsembleBlock& b) {
   op_opt.gshunt = opt.gshunt;
   op_opt.lint = opt.lint;
   op_opt.lint_strict = opt.lint_strict;
-  op_opt.solver = opt.solver;
   op_opt.budget = b.budget;
   op_opt.initial_guess = *b.nominal_x;
 
@@ -1207,8 +1205,6 @@ TranEnsembleResult run_transient_ensemble(
     why = "single_sample";  // bit-identity contract with run_transient
   } else if (base.adaptive) {
     why = "adaptive";  // per-lane LTE dt controllers diverge immediately
-  } else if (base.solver == SolverKind::kDense) {
-    why = "dense_solver";
   } else if (base.initial_state || base.step_hook ||
              base.first_step_backward_euler) {
     why = "pss_restart";  // lockstep lanes share one DC warm start
@@ -1234,7 +1230,6 @@ TranEnsembleResult run_transient_ensemble(
     op0.gshunt = base.gshunt;
     op0.lint = base.lint;
     op0.lint_strict = base.lint_strict;
-    op0.solver = base.solver;
     op0.budget = opt.budget;
     nominal = solve_op(*nls[0], op0);
     if (!nominal.converged) why = "nominal_op_failed";

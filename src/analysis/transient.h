@@ -73,10 +73,6 @@ struct TranOptions {
   double dt_max = 0.0;        // 0 -> 50x the base dt
   double lte_tol = 100e-6;
 
-  // Linear-solver engine: the sparse path reuses one cached symbolic LU
-  // across every Newton iteration of every time step.
-  SolverKind solver = SolverKind::kSparse;
-
   // Modified Newton: keep solving against the numeric factorization
   // from an earlier iteration/step while it still contracts, paying for
   // a fresh one only on dt changes, slow convergence, or non-finite
@@ -291,12 +287,16 @@ struct TranEnsembleResult {
 // Runs sample i by calling configure(i, nl, opt) on a fresh netlist,
 // exactly like run_transient_sweep, then advances all samples in
 // lockstep.  Falls back to the per-sample path (whole-run or per-block)
-// whenever lockstep preconditions fail: differing TranOptions across
-// samples, adaptive stepping, the dense solver, topology disagreement,
-// n == 1 (bit-identity contract with run_transient), a failed nominal
-// OP, or force_per_sample.  Same determinism contract as the sweep:
-// results are bit-identical for any thread count (blocks are the
-// scheduling unit and each block is serial inside).
+// whenever lockstep preconditions fail; TranEnsembleTelemetry::
+// fallback_reason names the first one missed: "forced"
+// (force_per_sample), "single_sample" (n == 1, the bit-identity
+// contract with run_transient), "adaptive" (adaptive stepping),
+// "pss_restart" (initial_state, step_hook or a backward-Euler first
+// step), "options_differ" (TranOptions differ across samples),
+// "topology_differs", "nominal_op_failed", or "block_init_refused"
+// (EnsembleSystem::init refused a block).  Same determinism contract as
+// the sweep: results are bit-identical for any thread count (blocks are
+// the scheduling unit and each block is serial inside).
 TranEnsembleResult run_transient_ensemble(
     std::size_t n,
     const std::function<void(std::size_t, ckt::Netlist&, TranOptions&)>&

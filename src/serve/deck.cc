@@ -112,6 +112,31 @@ double arg_num(const spice::AnalysisDirective& d, std::size_t i) {
   return spice::parse_value(d.args[i]);
 }
 
+// Most points (or time steps) one .dc/.ac/.noise/.tran directive may
+// request; every deck shipped with the project stays orders of
+// magnitude below it.  A degenerate request would otherwise pin a
+// worker or exhaust memory beyond the reach of cancel/budget checks.
+constexpr double kMaxDirectivePoints = 1e6;
+
+bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
+
+// The frequency grid of ".ac dec N f1 f2" / ".noise ... dec N f1 f2".
+// Points per decade and both frequencies must be finite and positive
+// (an unchecked NaN or huge N reaching the int cast is undefined
+// behaviour), and the grid must stay under the point cap.
+std::vector<double> checked_log_grid(const spice::AnalysisDirective& d,
+                                     double ppd, double f1, double f2) {
+  if (!finite_positive(ppd) || !finite_positive(f1) || !finite_positive(f2))
+    throw std::runtime_error(
+        "." + d.kind +
+        " needs finite, positive points per decade and frequencies");
+  if (ppd >= kMaxDirectivePoints ||
+      std::abs(std::log10(f2) - std::log10(f1)) * ppd >=
+          kMaxDirectivePoints)
+    throw std::runtime_error("." + d.kind + " grid exceeds 1e6 points");
+  return an::log_frequencies(f1, f2, static_cast<int>(ppd));
+}
+
 // Publishes the netlist's solver structure back to the registry when
 // the job ends, however it ends (early lint exit, solver failure,
 // exception): whatever structure got built is valid and worth keeping.
@@ -317,8 +342,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
           (stop - start) * step < 0.0)
         throw std::runtime_error(
             ".dc needs a finite, nonzero step from start toward stop");
-      constexpr double kMaxSweepPoints = 1e6;
-      if (std::abs(stop - start) / std::abs(step) >= kMaxSweepPoints)
+      if (std::abs(stop - start) / std::abs(step) >= kMaxDirectivePoints)
         throw std::runtime_error(".dc sweep exceeds 1e6 points");
       print_probe_header(out, nl, "v_sweep", probes);
       std::vector<double> values;
@@ -340,14 +364,13 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       }
     } else if (d.kind == "ac") {
       // .ac dec N fstart fstop
-      const int ppd = static_cast<int>(arg_num(d, 1));
-      const double f1 = arg_num(d, 2), f2 = arg_num(d, 3);
+      const auto freqs =
+          checked_log_grid(d, arg_num(d, 1), arg_num(d, 2), arg_num(d, 3));
       const an::OpResult& op = operating_point();
       if (!op.converged) {
         err.fmt("operating point failed: %s\n", op.diag.message().c_str());
         return 1;
       }
-      const auto freqs = an::log_frequencies(f1, f2, ppd);
       an::AcOptions aopt;
       aopt.budget = budget_p;
       const auto ac = an::run_ac_diag(nl, freqs, aopt);
@@ -376,6 +399,13 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       an::TranOptions t;
       t.dt = arg_num(d, 0);
       t.t_stop = arg_num(d, 1);
+      // A zero or non-finite step never reaches t_stop, exactly like a
+      // degenerate .dc step.
+      if (!finite_positive(t.dt) || !finite_positive(t.t_stop))
+        throw std::runtime_error(
+            ".tran needs a finite, positive step and stop");
+      if (t.t_stop / t.dt >= kMaxDirectivePoints)
+        throw std::runtime_error(".tran exceeds 1e6 steps");
       t.temp_k = temp_k;
       t.budget = budget_p;
       if (cli.pss) {
@@ -455,6 +485,8 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       if (d.args.size() < 6)
         throw std::runtime_error(
             ".noise out_node input_src dec N fstart fstop");
+      const auto freqs =
+          checked_log_grid(d, arg_num(d, 3), arg_num(d, 4), arg_num(d, 5));
       const an::OpResult& op = operating_point();
       if (!op.converged) {
         err.fmt("operating point failed: %s\n", op.diag.message().c_str());
@@ -465,9 +497,6 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       nopt.input_source = d.args[1];
       nopt.temp_k = temp_k;
       nopt.budget = budget_p;
-      const int ppd = static_cast<int>(arg_num(d, 3));
-      const auto freqs =
-          an::log_frequencies(arg_num(d, 4), arg_num(d, 5), ppd);
       const auto res = an::run_noise_diag(nl, freqs, nopt);
       if (!res.ok() && !res.truncated) {
         err.fmt("noise analysis failed: %s\n", res.diag.message().c_str());

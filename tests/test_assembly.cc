@@ -1,9 +1,10 @@
 // Assembly-engine tests: the stamp-slot cache (zero pattern searches
 // after warm-up, for the real dcop/transient passes, the complex AC
 // split, and Monte-Carlo cache adoption), slot invalidation on
-// topology edits, batched-vs-legacy bit-identity under every assembly
-// mode, the omega-affine stamp_ac contract behind the G + jwC split,
-// and the stamp/factor/solve telemetry breakdown.
+// topology edits, bit-identity of the production assembly with the
+// searched per-device oracle (tests/dense_oracle.h), the omega-affine
+// stamp_ac contract behind the G + jwC split, and the
+// stamp/factor/solve telemetry breakdown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "analysis/structural.h"
 #include "circuit/lint.h"
 #include "circuit/netlist.h"
+#include "dense_oracle.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "devices/tanh_vccs.h"
@@ -50,13 +52,11 @@ void expect_bits_equal(const std::vector<double>& a,
 TEST(AssemblySlots, RealSystemReplaysWithZeroSearches) {
   auto rig = bench::make_mic_rig();
   rig->mic.set_gain_code(5);
-  an::OpOptions oo;
-  oo.solver = an::SolverKind::kSparse;
-  const auto op = an::solve_op(rig->nl, oo);
+  const auto op = an::solve_op(rig->nl);
   ASSERT_TRUE(op.converged);
 
   an::RealSystem sys;
-  sys.init(rig->nl, an::SolverKind::kSparse);
+  sys.init(rig->nl);
   for (const auto mode :
        {ckt::AnalysisMode::kDcOp, ckt::AnalysisMode::kTransient}) {
     an::AssembleParams p;
@@ -77,20 +77,16 @@ TEST(AssemblySlots, RealSystemReplaysWithZeroSearches) {
 
 TEST(AssemblySlots, ComplexSystemReplaysAcrossFrequencies) {
   auto rig = bench::make_mic_rig();
-  an::OpOptions oo;
-  oo.solver = an::SolverKind::kSparse;
-  const auto op = an::solve_op(rig->nl, oo);
+  const auto op = an::solve_op(rig->nl);
   ASSERT_TRUE(op.converged);  // save_op ran: stamp_ac is well-defined
 
   // The first split records the stamp_ac slot pass into the netlist
   // cache; a second split replays it, and frequency points never stamp.
-  const an::AcSplit first =
-      an::split_ac(rig->nl, an::SolverKind::kSparse, 1e-12);
+  const an::AcSplit first = an::split_ac(rig->nl, 1e-12);
   const long s0 = num::sparse_search_count();
-  const an::AcSplit split =
-      an::split_ac(rig->nl, an::SolverKind::kSparse, 1e-12);
+  const an::AcSplit split = an::split_ac(rig->nl, 1e-12);
   an::ComplexSystem sys;
-  sys.init(rig->nl, split);
+  sys.init(split);
   for (const double f : {1e3, 1e4, 1e5}) sys.assemble(2.0 * M_PI * f);
   EXPECT_EQ(num::sparse_search_count() - s0, 0);
   expect_bits_equal(first.g, split.g, "replayed G");
@@ -102,16 +98,14 @@ TEST(AssemblySlots, AdoptedCacheReplaysFromTheFirstAssembly) {
   // a sample that adopts its solver cache must replay immediately --
   // zero pattern searches even on its very first assembly.
   auto nominal = bench::make_mic_rig();
-  an::OpOptions oo;
-  oo.solver = an::SolverKind::kSparse;
-  const auto op = an::solve_op(nominal->nl, oo);
+  const auto op = an::solve_op(nominal->nl);
   ASSERT_TRUE(op.converged);
 
   auto sample = bench::make_mic_rig();
   sample->nl.adopt_solver_cache(nominal->nl);
   sample->nl.assign_unknowns();
   an::RealSystem sys;
-  sys.init(sample->nl, an::SolverKind::kSparse);
+  sys.init(sample->nl);
 
   an::AssembleParams p;  // kDcOp: the pass the nominal solve recorded
   const num::RealVector x0(op.x.size(), 0.0);
@@ -128,9 +122,7 @@ TEST(AssemblySlots, TopologyEditInvalidatesSlotsAndMatchesFreshBuild) {
   // bump, rebuild everything, and stamp exactly what a from-scratch
   // netlist of the edited topology stamps.
   auto edited = bench::make_mic_rig();
-  an::OpOptions oo;
-  oo.solver = an::SolverKind::kSparse;
-  ASSERT_TRUE(an::solve_op(edited->nl, oo).converged);
+  ASSERT_TRUE(an::solve_op(edited->nl).converged);
   const auto rev_before = edited->nl.structure_revision();
 
   auto grow = [](bench::MicRig& r) {
@@ -151,8 +143,8 @@ TEST(AssemblySlots, TopologyEditInvalidatesSlotsAndMatchesFreshBuild) {
       static_cast<std::size_t>(edited->nl.unknown_count()), 0.0);
 
   an::RealSystem se, sf;
-  se.init(edited->nl, an::SolverKind::kSparse);
-  sf.init(fresh->nl, an::SolverKind::kSparse);
+  se.init(edited->nl);
+  sf.init(fresh->nl);
   se.assemble(edited->nl, x0, p);
   sf.assemble(fresh->nl, x0, p);
 
@@ -172,87 +164,85 @@ TEST(AssemblySlots, TopologyEditInvalidatesSlotsAndMatchesFreshBuild) {
   EXPECT_EQ(num::sparse_search_count() - s0, 0);
 }
 
-// ---- batched vs legacy bit-identity ---------------------------------
+// ---- production vs searched-oracle bit-identity ---------------------
 
-// Assembles one freshly built rig in the given mode after an identical
-// solve history, so device-internal limiting state matches exactly
-// across modes and the stamped images are comparable bit-for-bit.
+// Assembles one freshly built rig -- through the production RealSystem
+// or the searched oracle -- after an identical solve history, so
+// device-internal limiting state matches exactly across the two and
+// the stamped images are comparable bit-for-bit.
 struct Snapshot {
   std::vector<double> vals;
   num::RealVector rhs;
 };
 
 template <typename MakeRig>
-Snapshot assemble_in_mode(const MakeRig& make, bool slots, bool batches,
-                          ckt::AnalysisMode mode) {
+Snapshot assemble_fresh(const MakeRig& make, bool production,
+                        ckt::AnalysisMode mode) {
   auto rig = make();
-  an::OpOptions oo;
-  oo.solver = an::SolverKind::kSparse;
-  const auto op = an::solve_op(rig->nl, oo);
+  const auto op = an::solve_op(rig->nl);
   EXPECT_TRUE(op.converged);
-
-  an::RealSystem sys;
-  sys.init(rig->nl, an::SolverKind::kSparse);
-  sys.set_assembly_modes(slots, batches);
   an::AssembleParams p;
   p.mode = mode;
   p.dt = 1e-6;
-  sys.assemble(rig->nl, op.x, p);
-  return {sys.sparse_jac().values(), sys.rhs()};
+  if (production) {
+    an::RealSystem sys;
+    sys.init(rig->nl);
+    sys.assemble(rig->nl, op.x, p);
+    return {sys.sparse_jac().values(), sys.rhs()};
+  }
+  num::RealSparseMatrix jac(an::mna_pattern(rig->nl));
+  num::RealVector rhs;
+  oracle::assemble_real_searched(rig->nl, op.x, p, jac, rhs);
+  return {jac.values(), rhs};
 }
 
 template <typename MakeRig>
-void expect_modes_identical(const MakeRig& make, ckt::AnalysisMode mode,
-                            const char* what) {
-  const auto legacy = assemble_in_mode(make, false, false, mode);
-  const auto slot = assemble_in_mode(make, true, false, mode);
-  const auto batched = assemble_in_mode(make, true, true, mode);
-  expect_bits_equal(legacy.vals, slot.vals, what);
-  expect_bits_equal(legacy.vals, batched.vals, what);
-  ASSERT_EQ(legacy.rhs.size(), slot.rhs.size());
-  ASSERT_EQ(legacy.rhs.size(), batched.rhs.size());
-  for (std::size_t i = 0; i < legacy.rhs.size(); ++i) {
-    EXPECT_EQ(legacy.rhs[i], slot.rhs[i]) << what << " rhs " << i;
-    EXPECT_EQ(legacy.rhs[i], batched.rhs[i]) << what << " rhs " << i;
-  }
+void expect_matches_oracle(const MakeRig& make, ckt::AnalysisMode mode,
+                           const char* what) {
+  const auto searched = assemble_fresh(make, false, mode);
+  const auto batched = assemble_fresh(make, true, mode);
+  expect_bits_equal(searched.vals, batched.vals, what);
+  expect_bits_equal(searched.rhs, batched.rhs, what);
 }
 
-TEST(AssemblyBatching, MicAmpBitIdenticalAcrossModes) {
+TEST(AssemblyBatching, MicAmpBitIdenticalToSearchedOracle) {
   const auto make = [] {
     auto r = bench::make_mic_rig();
     r->mic.set_gain_code(5);
     return r;
   };
-  expect_modes_identical(make, ckt::AnalysisMode::kDcOp, "mic dcop");
-  expect_modes_identical(make, ckt::AnalysisMode::kTransient, "mic tran");
+  expect_matches_oracle(make, ckt::AnalysisMode::kDcOp, "mic dcop");
+  expect_matches_oracle(make, ckt::AnalysisMode::kTransient, "mic tran");
 }
 
-TEST(AssemblyBatching, ChipBitIdenticalAcrossModes) {
+TEST(AssemblyBatching, ChipBitIdenticalToSearchedOracle) {
   const auto make = [] { return bench::make_chip_rig(); };
-  expect_modes_identical(make, ckt::AnalysisMode::kDcOp, "chip dcop");
-  expect_modes_identical(make, ckt::AnalysisMode::kTransient,
-                         "chip tran");
+  expect_matches_oracle(make, ckt::AnalysisMode::kDcOp, "chip dcop");
+  expect_matches_oracle(make, ckt::AnalysisMode::kTransient, "chip tran");
 }
 
-TEST(AssemblyBatching, LegacyModeStillSearches) {
-  // The oracle must actually be the searched path: with both knobs off
-  // a re-assembly keeps paying pattern lookups (otherwise the zero-
-  // search assertions above would be vacuous).
+TEST(AssemblyBatching, OracleSearchesWhileProductionDoesNot) {
+  // The oracle must actually be the searched path -- otherwise the
+  // bit-identity checks above would compare the replay with itself --
+  // while a production re-assembly pays no pattern lookup at all.
   auto rig = bench::make_mic_rig();
-  an::OpOptions oo;
-  oo.solver = an::SolverKind::kSparse;
-  const auto op = an::solve_op(rig->nl, oo);
+  const auto op = an::solve_op(rig->nl);
   ASSERT_TRUE(op.converged);
+  an::AssembleParams p;
+
+  num::RealSparseMatrix jac(an::mna_pattern(rig->nl));
+  num::RealVector rhs;
+  long s0 = num::sparse_search_count();
+  oracle::assemble_real_searched(rig->nl, op.x, p, jac, rhs);
+  EXPECT_GT(num::sparse_search_count() - s0, 0);
 
   an::RealSystem sys;
-  sys.init(rig->nl, an::SolverKind::kSparse);
-  sys.set_assembly_modes(false, false);
-  an::AssembleParams p;
+  sys.init(rig->nl);
   sys.assemble(rig->nl, op.x, p);
   sys.invalidate_base();
-  const long s0 = num::sparse_search_count();
+  s0 = num::sparse_search_count();
   sys.assemble(rig->nl, op.x, p);
-  EXPECT_GT(num::sparse_search_count() - s0, 0);
+  EXPECT_EQ(num::sparse_search_count() - s0, 0);
 }
 
 // ---- the omega-affine stamp_ac contract ------------------------------
@@ -269,8 +259,7 @@ void expect_split_matches_direct(ckt::Netlist& nl, const std::string& what) {
   nl.assign_unknowns();
   an::solve_op(nl);  // save_op; the contract holds at any saved OP
   constexpr double kGshunt = 1e-12;
-  const an::AcSplit split =
-      an::split_ac(nl, an::SolverKind::kSparse, kGshunt);
+  const an::AcSplit split = an::split_ac(nl, kGshunt);
   const auto n = static_cast<std::size_t>(nl.unknown_count());
   const auto& rp = split.skeleton->row_ptr();
   const auto& cols = split.skeleton->cols();
@@ -279,7 +268,7 @@ void expect_split_matches_direct(ckt::Netlist& nl, const std::string& what) {
     const double w = 2.0 * M_PI * f;
     num::ComplexMatrix direct;
     num::ComplexVector rhs;
-    an::assemble_ac(nl, w, kGshunt, direct, rhs);
+    oracle::assemble_ac(nl, w, kGshunt, direct, rhs);
     num::ComplexMatrix formed(n, n);
     for (std::size_t r = 0; r < n; ++r)
       for (int k = rp[r]; k < rp[r + 1]; ++k) {
@@ -389,9 +378,7 @@ TEST(AssemblyTelemetry, TransientReportsTimeBreakdown) {
 
 TEST(AssemblyTelemetry, OpReportIncludesSolverTime) {
   auto rig = bench::make_mic_rig();
-  an::OpOptions oo;
-  oo.solver = an::SolverKind::kSparse;
-  const auto op = an::solve_op(rig->nl, oo);
+  const auto op = an::solve_op(rig->nl);
   ASSERT_TRUE(op.converged);
   EXPECT_GT(op.solver_stats.stamp_ns, 0);
   const auto report = an::op_report(rig->nl, op);

@@ -82,9 +82,7 @@ an::McStats mic_gain_mc(int samples, int threads) {
   const auto pm = proc::ProcessModel::cmos12();
   auto nominal = bench::make_mic_rig();
   nominal->mic.set_gain_code(5);
-  an::OpOptions warm;
-  warm.solver = an::SolverKind::kSparse;
-  (void)an::solve_op(nominal->nl, warm);
+  (void)an::solve_op(nominal->nl);
 
   num::Rng rng(77);
   an::McOptions mo;
@@ -99,13 +97,9 @@ an::McStats mic_gain_mc(int samples, int threads) {
           seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
         r->mic.set_gain_code(5);
         r->nl.adopt_solver_cache(nominal->nl);
-        an::OpOptions oo;
-        oo.solver = an::SolverKind::kSparse;
-        const auto op = an::solve_op(r->nl, oo);
+        const auto op = an::solve_op(r->nl);
         if (!op.converged) return std::nan("");
-        an::AcOptions ao;
-        ao.solver = an::SolverKind::kSparse;
-        const auto ac = an::run_ac(r->nl, {1e3}, ao);
+        const auto ac = an::run_ac(r->nl, {1e3});
         return an::to_db(std::abs(ac.vdiff(0, r->mic.outp, r->mic.outn)));
       },
       mo);

@@ -407,6 +407,42 @@ TEST(ServeDeck, DcSweepRejectsDegenerateSteps) {
   EXPECT_NE(ok.out.find("\n1,"), std::string::npos);  // reached stop
 }
 
+TEST(ServeDeck, TranAcNoiseRejectDegenerateGrids) {
+  auto rc = [](const char* directive) {
+    return std::string(
+               "* rc\n"
+               "v1 in 0 dc 1 ac 1\n"
+               "r1 in out 1k\n"
+               "c1 out 0 100n\n") +
+           directive + ".end\n";
+  };
+  // A zero or non-finite .tran step never reaches stop (the worker
+  // pins like a degenerate .dc), and a NaN/huge points-per-decade value
+  // reaching the int cast is undefined behaviour: all refused up front,
+  // as is any grid or step count past the cap.
+  for (const char* bad :
+       {".tran 0 1m\n", ".tran -1u 1m\n", ".tran 1u 0\n", ".tran nan 1m\n",
+        ".tran 1u inf\n", ".tran 1e-12 1\n", ".ac dec 10 0 1e6\n",
+        ".ac dec 0 10 1e6\n", ".ac dec nan 10 1e6\n", ".ac dec 10 10 inf\n",
+        ".ac dec 1e12 10 1e6\n", ".ac dec 10 -1 1e6\n",
+        ".noise out v1 dec 10 0 1e6\n", ".noise out v1 dec nan 10 1e6\n",
+        ".noise out v1 dec 1e9 1 1e6\n"}) {
+    const DeckResult r = serve::run_deck(rc(bad), {}, nullptr);
+    EXPECT_EQ(r.exit_code, 1) << bad;
+    EXPECT_NE(r.err.find("error:"), std::string::npos) << bad << r.err;
+    EXPECT_EQ(r.out.find(",-nan"), std::string::npos) << bad << r.out;
+  }
+  // Well-formed decks still run, with finite rows.
+  for (const char* good : {".tran 10u 100u\n", ".ac dec 10 10 1e6\n",
+                           ".noise out v1 dec 10 10 100k\n"}) {
+    const DeckResult r = serve::run_deck(rc(good), {}, nullptr);
+    EXPECT_EQ(r.exit_code, 0) << good << r.err;
+    EXPECT_NE(r.out.find("\n1"), std::string::npos) << good << r.out;
+    EXPECT_EQ(r.out.find("nan,"), std::string::npos) << good << r.out;
+    EXPECT_EQ(r.out.find(",-nan"), std::string::npos) << good << r.out;
+  }
+}
+
 // -------------------------------------------------------------------
 // Deck runner: whole-result memoization.
 

@@ -197,7 +197,7 @@ TEST(StampContract, RogueDeviceIsCaughtAndNamed) {
   // pattern is built: constructing the system throws a named error
   // instead of silently corrupting the shared skeleton.
   an::RealSystem sys;
-  EXPECT_THROW(sys.init(nl, an::SolverKind::kSparse), std::logic_error);
+  EXPECT_THROW(sys.init(nl), std::logic_error);
 #endif
 }
 

@@ -52,7 +52,10 @@ missing_tool() {
 # dedicated build tree and run them via ctest.  Only the fault-driving
 # suites run here: they deliberately walk every recovery path (failed
 # factorizations, budget aborts, NaN injection, ensemble lane faults),
-# so they give the sanitizers the best coverage per second.
+# so they give the sanitizers the best coverage per second.  test_sparse
+# and test_assembly join them: they drive the dense and searched
+# reference engines (tests/dense_oracle.h) over the fault netlists and
+# the paper's circuits.
 run_sanitized_faults() {
   local san_dir="$repo_root/build-asan-ubsan"
   if ! command -v cmake >/dev/null 2>&1 || ! command -v ctest >/dev/null 2>&1; then
@@ -70,10 +73,10 @@ run_sanitized_faults() {
   }
   cmake --build "$san_dir" -j "$(nproc 2>/dev/null || echo 2)" \
         --target test_robustness test_op_robustness test_ensemble \
-                 test_pss test_serve \
+                 test_pss test_serve test_sparse test_assembly \
         >/dev/null || return 1
   (cd "$san_dir" && ctest --output-on-failure \
-        -R '^(test_robustness|test_op_robustness|test_ensemble|test_pss|test_serve|serve_smoke)$') \
+        -R '^(test_robustness|test_op_robustness|test_ensemble|test_pss|test_serve|serve_smoke|test_sparse|test_assembly)$') \
     || return 1
   echo "run_static_checks: sanitized fault suites clean" >&2
   return 0
