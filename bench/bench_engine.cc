@@ -14,13 +14,20 @@
 // against the doubling-verified settle oracle (periods integrated, wall
 // time, THD agreement) and gates on the two estimates agreeing;
 // tools/bench_compare.py --pss-threshold additionally gates the
-// period_ratio.  Correctness against the dense and searched reference
-// engines lives in the tests (tests/dense_oracle.h).
+// period_ratio.  The mc_transient_configs section times a mic and a
+// full-chip Monte-Carlo transient through run_transient_sweep, unshared
+// vs shared (sample 0's solver cache and OP seed) at equal threads, and
+// gates on the per-sample finals agreeing to 1e-5.  Correctness against
+// the dense and searched reference engines lives in the tests
+// (tests/dense_oracle.h).
 //
 //   --smoke          shrink every scenario (sample counts, repeats,
 //                    transient spans) so the whole harness plus all of
 //                    its correctness gates finishes in seconds; used by
 //                    the bench_smoke ctest.
+//   --mc-samples N   Monte-Carlo transient sample count (default 32
+//                    mic / 16 chip).
+//   --threads N      Monte-Carlo transient worker count (default 8).
 //   --gbench [...]   run the historical google-benchmark micro kernels
 //                    instead (remaining args go to the library).
 #include <algorithm>
@@ -543,59 +550,54 @@ bool stats_identical(const an::McStats& a, const an::McStats& b) {
          a.min() == b.min() && a.max() == b.max();
 }
 
-// --------------------------------------------- ensemble transient MC
+// ------------------------------------------------ Monte-Carlo transient
 
-// One MC-transient scenario run through run_transient_ensemble, either
-// as the per-sample baseline (force_per_sample: run_transient per lane
-// with the hoisted cache share) or as the lockstep SoA engine.  The
+// One MC-transient scenario run through run_transient_sweep, either
+// unshared (every sample analyzes its own structure and solves its OP
+// cold) or shared (share_structure: every later sample adopts sample
+// 0's solver cache and starts its OP Newton from sample 0's OP).  The
 // metric is a per-sample scalar pulled from each recorded waveform so
 // the two modes can be checked for numerical agreement sample by
 // sample, not just in aggregate.
-struct EnsRun {
+struct McTranRun {
   std::string name;
   double wall_ms = std::numeric_limits<double>::infinity();
   int samples = 0;
   int threads = 1;
-  int lane_width = 0;
-  bool used_ensemble = false;
-  std::string fallback_reason;
-  long splits = 0;
-  long rejoins = 0;
+  bool shared = false;
+  long op_iterations = 0;  // initial-OP Newton iterations, all samples
   double samples_per_sec = 0.0;
   std::vector<double> finals;  // per-sample metric, index-stable
   bool all_ok = true;
 };
 
-EnsRun run_ens(
-    const std::string& name, int samples, int threads, int lane_width,
-    bool force_per_sample, int repeats,
+McTranRun run_mc_tran(
+    const std::string& name, int samples, int threads, bool shared,
+    int repeats,
     const std::function<void(std::size_t, ckt::Netlist&,
                              an::TranOptions&)>& configure,
     const std::function<double(const an::TranResult&)>& metric) {
-  EnsRun run;
+  McTranRun run;
   run.name = name;
   run.samples = samples;
   run.threads = threads;
-  run.lane_width = lane_width;
+  run.shared = shared;
   for (int rep = 0; rep < repeats; ++rep) {
-    an::TranEnsembleOptions eo;
-    eo.threads = threads;
-    eo.lane_width = lane_width;
-    eo.force_per_sample = force_per_sample;
+    an::TranSweepOptions so;
+    so.threads = threads;
+    so.share_structure = shared;
     const auto t0 = Clock::now();
-    const auto res = an::run_transient_ensemble(
-        static_cast<std::size_t>(samples), configure, eo);
+    const auto res = an::run_transient_sweep(
+        static_cast<std::size_t>(samples), configure, so);
     const double wall = ms_since(t0);
     if (wall < run.wall_ms) {
       run.wall_ms = wall;
-      run.used_ensemble = res.ensemble.used_ensemble;
-      run.fallback_reason = res.ensemble.fallback_reason;
-      run.splits = res.ensemble.cohort_splits;
-      run.rejoins = res.ensemble.cohort_rejoins;
+      run.op_iterations = 0;
       run.finals.clear();
       run.all_ok = true;
-      for (const auto& r : res.results) {
+      for (const auto& r : res) {
         run.all_ok = run.all_ok && r.ok;
+        run.op_iterations += r.telemetry.op_iterations;
         run.finals.push_back(
             r.ok ? metric(r) : std::numeric_limits<double>::quiet_NaN());
       }
@@ -608,7 +610,7 @@ EnsRun run_ens(
 
 // Per-sample numerical agreement between two modes of the same scenario
 // (NaN from a failed sample never agrees).
-bool finals_agree(const EnsRun& a, const EnsRun& b, double atol) {
+bool finals_agree(const McTranRun& a, const McTranRun& b, double atol) {
   if (a.finals.size() != b.finals.size() || a.finals.empty()) return false;
   for (std::size_t i = 0; i < a.finals.size(); ++i)
     if (!(std::abs(a.finals[i] - b.finals[i]) <= atol)) return false;
@@ -644,19 +646,18 @@ void json_ac(std::FILE* f, const AcRun& r, double base_ms, bool last) {
                base_ms / r.wall_ms, last ? "" : ",");
 }
 
-void json_ens(std::FILE* f, const EnsRun& r, const EnsRun& base,
-              bool agree, bool last) {
+void json_mc_tran(std::FILE* f, const McTranRun& r, const McTranRun& base,
+                  bool last) {
   std::fprintf(f,
                "    {\"name\": \"%s\", \"wall_ms\": %.3f, "
-               "\"samples\": %d, \"threads\": %d, \"lane_width\": %d, "
-               "\"samples_per_sec\": %.2f, \"used_ensemble\": %s, "
-               "\"cohort_splits\": %ld, \"cohort_rejoins\": %ld, "
-               "\"speedup_vs_per_sample\": %.3f, "
+               "\"samples\": %d, \"threads\": %d, \"shared\": %s, "
+               "\"op_iterations\": %ld, \"samples_per_sec\": %.2f, "
+               "\"speedup_vs_unshared\": %.3f, "
                "\"finals_agree\": %s}%s\n",
                r.name.c_str(), r.wall_ms, r.samples, r.threads,
-               r.lane_width, r.samples_per_sec,
-               r.used_ensemble ? "true" : "false", r.splits, r.rejoins,
-               base.wall_ms / r.wall_ms, agree ? "true" : "false",
+               r.shared ? "true" : "false", r.op_iterations,
+               r.samples_per_sec, base.wall_ms / r.wall_ms,
+               finals_agree(r, base, 1e-5) ? "true" : "false",
                last ? "" : ",");
 }
 
@@ -781,7 +782,7 @@ ServeRun run_serve_pass(const char* name,
 }
 
 int run_harness(const char* out_path, bool smoke, int mc_samples,
-                int ens_threads) {
+                int mc_tran_threads) {
   // Smoke mode (bench_smoke ctest) shrinks every scenario so the whole
   // harness -- including all correctness gates -- finishes in seconds.
   const int kSamples = smoke ? 20 : 200;
@@ -967,23 +968,23 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
     tran_agree = tran_agree && r->agree;
   }
 
-  // Lockstep ensemble MC transient: the same perturbed-sample workload
-  // twice, per-sample baseline (force_per_sample, hoisted cache share)
-  // vs the SoA lockstep engine, gated on per-sample agreement of the
-  // final differential output.  record_after keeps only the last couple
-  // of points so recording stays off the timed hot path.
-  const auto pm_ens = proc::ProcessModel::cmos12();
-  const int kEnsMic = mc_samples > 0 ? mc_samples : (smoke ? 8 : 32);
-  const int kEnsChip = mc_samples > 0 ? mc_samples : (smoke ? 4 : 16);
-  const int kEnsThreads = ens_threads > 0 ? ens_threads : 8;
-  const auto conf_mic_ens = [&](std::size_t i, ckt::Netlist& nl,
+  // Monte-Carlo transient: the same perturbed-sample workload twice at
+  // equal threads, unshared sweep vs shared sweep (sample 0's solver
+  // cache and OP seed), gated on per-sample agreement of the final
+  // differential output.  record_after keeps only the last couple of
+  // points so recording stays off the timed hot path.
+  const auto pm_mc = proc::ProcessModel::cmos12();
+  const int kMcTranMic = mc_samples > 0 ? mc_samples : (smoke ? 8 : 32);
+  const int kMcTranChip = mc_samples > 0 ? mc_samples : (smoke ? 4 : 16);
+  const int kMcTranThreads = mc_tran_threads > 0 ? mc_tran_threads : 8;
+  const auto conf_mic_mc = [&](std::size_t i, ckt::Netlist& nl,
                                 an::TranOptions& t) {
     auto parts = bench::build_mic_into(nl);
     num::Rng srng(1000 + 17 * static_cast<std::uint64_t>(i));
     for (auto* seg : parts.mic.string_segments_p)
-      seg->apply_relative_error(pm_ens.sample_resistor_mismatch(srng));
+      seg->apply_relative_error(pm_mc.sample_resistor_mismatch(srng));
     for (auto* seg : parts.mic.string_segments_n)
-      seg->apply_relative_error(pm_ens.sample_resistor_mismatch(srng));
+      seg->apply_relative_error(pm_mc.sample_resistor_mismatch(srng));
     parts.mic.set_gain_code(5);
     parts.vinp->set_waveform(dev::Waveform::sine(0.0, 1e-3, 1e3));
     parts.vinn->set_waveform(dev::Waveform::sine(0.0, -1e-3, 1e3));
@@ -997,13 +998,13 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
     const auto w = r.diff_wave(mic_outp, mic_outn);
     return w.empty() ? std::numeric_limits<double>::quiet_NaN() : w.back();
   };
-  const auto conf_chip_ens = [&](std::size_t i, ckt::Netlist& nl,
+  const auto conf_chip_mc = [&](std::size_t i, ckt::Netlist& nl,
                                  an::TranOptions& t) {
     auto parts = bench::build_chip_into(nl);
     num::Rng srng(2000 + 31 * static_cast<std::uint64_t>(i));
     for (const auto& d : nl.devices())
       if (auto* res = dynamic_cast<dev::Resistor*>(d.get()))
-        res->apply_relative_error(pm_ens.sample_resistor_mismatch(srng));
+        res->apply_relative_error(pm_mc.sample_resistor_mismatch(srng));
     parts.vinp->set_waveform(dev::Waveform::sine(0.0, 1e-3, 1e3));
     parts.vinn->set_waveform(dev::Waveform::sine(0.0, -1e-3, 1e3));
     t.t_stop = 0.4e-3 * tran_scale;
@@ -1016,44 +1017,33 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
     const auto w = r.diff_wave(chip_outp, chip_outn);
     return w.empty() ? std::numeric_limits<double>::quiet_NaN() : w.back();
   };
-  std::printf("engine harness: ensemble MC transient, mic %d / chip %d "
-              "samples, %d threads (best of %d)\n",
-              kEnsMic, kEnsChip, kEnsThreads, kRepeats);
-  const auto ens_mic_ps =
-      run_ens("mic-per-sample", kEnsMic, kEnsThreads, 8, true, kRepeats,
-              conf_mic_ens, mic_final);
-  const auto ens_mic_w4 =
-      run_ens("mic-ensemble-w4", kEnsMic, kEnsThreads, 4, false, kRepeats,
-              conf_mic_ens, mic_final);
-  const auto ens_mic_w8 =
-      run_ens("mic-ensemble-w8", kEnsMic, kEnsThreads, 8, false, kRepeats,
-              conf_mic_ens, mic_final);
-  const auto ens_chip_ps =
-      run_ens("chip-per-sample", kEnsChip, kEnsThreads, 8, true,
-              std::min(kRepeats, 2), conf_chip_ens, chip_final);
-  const auto ens_chip_w8 =
-      run_ens("chip-ensemble-w8", kEnsChip, kEnsThreads, 8, false,
-              std::min(kRepeats, 2), conf_chip_ens, chip_final);
-  const double mic_ens_speedup =
-      ens_mic_ps.wall_ms / std::min(ens_mic_w4.wall_ms, ens_mic_w8.wall_ms);
-  const double chip_ens_speedup = ens_chip_ps.wall_ms / ens_chip_w8.wall_ms;
-  bool ens_ok = true;
-  for (const EnsRun* r : {&ens_mic_ps, &ens_mic_w4, &ens_mic_w8,
-                          &ens_chip_ps, &ens_chip_w8}) {
-    const EnsRun* base =
-        r->name[0] == 'm' ? &ens_mic_ps : &ens_chip_ps;
+  std::printf("engine harness: MC transient, mic %d / chip %d samples, "
+              "%d threads (best of %d)\n",
+              kMcTranMic, kMcTranChip, kMcTranThreads, kRepeats);
+  const auto mct_mic =
+      run_mc_tran("mic-unshared", kMcTranMic, kMcTranThreads, false,
+                  kRepeats, conf_mic_mc, mic_final);
+  const auto mct_mic_sh =
+      run_mc_tran("mic-shared", kMcTranMic, kMcTranThreads, true, kRepeats,
+                  conf_mic_mc, mic_final);
+  const auto mct_chip =
+      run_mc_tran("chip-unshared", kMcTranChip, kMcTranThreads, false,
+                  std::min(kRepeats, 2), conf_chip_mc, chip_final);
+  const auto mct_chip_sh =
+      run_mc_tran("chip-shared", kMcTranChip, kMcTranThreads, true,
+                  std::min(kRepeats, 2), conf_chip_mc, chip_final);
+  bool mc_tran_ok = true;
+  for (const McTranRun* r : {&mct_mic, &mct_mic_sh, &mct_chip,
+                             &mct_chip_sh}) {
+    const McTranRun* base = r->name[0] == 'm' ? &mct_mic : &mct_chip;
     const bool agree = finals_agree(*r, *base, 1e-5);
-    std::printf("  %-15s %8.1f ms  %7.1f samples/s  %s  splits %ld  "
-                "rejoins %ld  agree %s\n",
+    std::printf("  %-14s %8.1f ms  %7.1f samples/s  %6ld OP iterations  "
+                "%5.2fx  agree %s\n",
                 r->name.c_str(), r->wall_ms, r->samples_per_sec,
-                r->used_ensemble ? "lockstep  " : "per-sample",
-                r->splits, r->rejoins, agree ? "yes" : "NO");
-    ens_ok = ens_ok && r->all_ok && agree &&
-             (r == base || r->used_ensemble);
+                r->op_iterations, base->wall_ms / r->wall_ms,
+                agree ? "yes" : "NO");
+    mc_tran_ok = mc_tran_ok && r->all_ok && agree;
   }
-  std::printf("  mic ensemble speedup %5.2fx  chip ensemble speedup "
-              "%5.2fx  (all agree: %s)\n",
-              mic_ens_speedup, chip_ens_speedup, ens_ok ? "yes" : "NO");
 
   // Budget-check overhead: the cooperative-cancellation polls in the
   // transient hot loops cost one null test per site with no budget
@@ -1355,17 +1345,11 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
                  r->rel_err(), r->agree ? "true" : "false", r->residual,
                  r == &pss_mic ? "" : ",");
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"ensemble_configs\": [\n");
-  json_ens(f, ens_mic_ps, ens_mic_ps,
-           finals_agree(ens_mic_ps, ens_mic_ps, 1e-5), false);
-  json_ens(f, ens_mic_w4, ens_mic_ps,
-           finals_agree(ens_mic_w4, ens_mic_ps, 1e-5), false);
-  json_ens(f, ens_mic_w8, ens_mic_ps,
-           finals_agree(ens_mic_w8, ens_mic_ps, 1e-5), false);
-  json_ens(f, ens_chip_ps, ens_chip_ps,
-           finals_agree(ens_chip_ps, ens_chip_ps, 1e-5), false);
-  json_ens(f, ens_chip_w8, ens_chip_ps,
-           finals_agree(ens_chip_w8, ens_chip_ps, 1e-5), true);
+  std::fprintf(f, "  \"mc_transient_configs\": [\n");
+  json_mc_tran(f, mct_mic, mct_mic, false);
+  json_mc_tran(f, mct_mic_sh, mct_mic, false);
+  json_mc_tran(f, mct_chip, mct_chip, false);
+  json_mc_tran(f, mct_chip_sh, mct_chip, true);
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"budget_overhead\": [\n");
   for (const BudgetRun* r : {&bud_chip, &bud_drv})
@@ -1415,20 +1399,16 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
                (deterministic && chip_deterministic) ? "true" : "false");
   std::fprintf(f, "  \"mic_mc_speedup_vs_sparse_serial\": %.3f,\n",
                mic_speedup);
-  std::fprintf(f, "  \"chip_mc_speedup_vs_sparse_serial\": %.3f,\n",
+  std::fprintf(f, "  \"chip_mc_speedup_vs_sparse_serial\": %.3f\n",
                chip_speedup);
-  std::fprintf(f, "  \"mic_ensemble_speedup_vs_per_sample\": %.3f,\n",
-               mic_ens_speedup);
-  std::fprintf(f, "  \"chip_ensemble_speedup_vs_per_sample\": %.3f\n",
-               chip_ens_speedup);
   std::fprintf(f, "}\n");
   std::fclose(f);
-  std::printf("wrote %s (MC speedup vs serial: mic %.2fx, chip %.2fx; "
-              "chip ensemble %.2fx)\n",
-              out_path, mic_speedup, chip_speedup, chip_ens_speedup);
+  std::printf("wrote %s (MC speedup vs serial: mic %.2fx, chip %.2fx)\n",
+              out_path, mic_speedup, chip_speedup);
 
   return (deterministic && chip_deterministic && tran_agree &&
-          asm_zero_lookups && budget_agree && ens_ok && pss_ok && serve_ok)
+          asm_zero_lookups && budget_agree && mc_tran_ok && pss_ok &&
+          serve_ok)
              ? 0
              : 1;
 }
@@ -1553,7 +1533,7 @@ int main(int argc, char** argv) {
   }
   bool smoke = false;
   int mc_samples = 0;   // 0 = scenario defaults
-  int ens_threads = 0;  // 0 = harness default (8)
+  int mc_tran_threads = 0;  // 0 = harness default (8)
   const char* out = "BENCH_engine.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0)
@@ -1561,9 +1541,9 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--mc-samples") == 0 && i + 1 < argc)
       mc_samples = std::atoi(argv[++i]);
     else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      ens_threads = std::atoi(argv[++i]);
+      mc_tran_threads = std::atoi(argv[++i]);
     else
       out = argv[i];
   }
-  return run_harness(out, smoke, mc_samples, ens_threads);
+  return run_harness(out, smoke, mc_samples, mc_tran_threads);
 }

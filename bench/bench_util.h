@@ -45,7 +45,7 @@ inline std::string fmt(const char* f, double v) {
 
 // Microphone-amplifier rig parts: device handles into a caller-owned
 // netlist, so MC drivers that hand out the netlist themselves
-// (monte_carlo_shared, run_transient_ensemble) can reuse the builder.
+// (monte_carlo_shared, run_transient_sweep) can reuse the builder.
 struct MicParts {
   dev::VSource* vdd_src = nullptr;
   dev::VSource* vss_src = nullptr;

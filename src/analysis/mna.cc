@@ -81,21 +81,6 @@ int batch_kind(const ckt::Device* d) {
   return kOtherKind;
 }
 
-// Segments a device list into maximal same-concrete-class runs (stamp
-// order untouched) for the batched loops.
-std::vector<detail::BatchRun> segment_runs(
-    const std::vector<const ckt::Device*>& devs) {
-  std::vector<detail::BatchRun> runs;
-  for (std::size_t i = 0; i < devs.size();) {
-    const int kind = batch_kind(devs[i]);
-    std::size_t j = i + 1;
-    while (j < devs.size() && batch_kind(devs[j]) == kind) ++j;
-    runs.push_back({kind, static_cast<int>(i), static_cast<int>(j)});
-    i = j;
-  }
-  return runs;
-}
-
 // One tight loop per concrete class: the virtual dispatch is hoisted
 // out of the device loop and (with stamp() marked final) the calls
 // devirtualize inside each device TU.  Segmentation preserved the
@@ -261,6 +246,19 @@ void RealSystem::init(const ckt::Netlist& nl) {
   nonlinear_.clear();
   for (const auto& d : nl.devices())
     (d->is_nonlinear() ? nonlinear_ : linear_).push_back(d.get());
+  // Segment each list into maximal same-concrete-class runs (stamp
+  // order untouched) for the batched loops.
+  auto segment_runs = [](const std::vector<const ckt::Device*>& devs) {
+    std::vector<BatchRun> runs;
+    for (std::size_t i = 0; i < devs.size();) {
+      const int kind = batch_kind(devs[i]);
+      std::size_t j = i + 1;
+      while (j < devs.size() && batch_kind(devs[j]) == kind) ++j;
+      runs.push_back({kind, static_cast<int>(i), static_cast<int>(j)});
+      i = j;
+    }
+    return runs;
+  };
   linear_runs_ = segment_runs(linear_);
   nonlinear_runs_ = segment_runs(nonlinear_);
 }
@@ -347,7 +345,7 @@ void RealSystem::stamp_pass(const std::vector<const ckt::Device*>& devs,
   publish_slots();
 }
 
-void detail::PhaseClock::begin() {
+void RealSystem::PhaseClock::begin() {
   const long i = calls++;
   weight = i < kExactCalls
                ? 1
@@ -355,7 +353,7 @@ void detail::PhaseClock::begin() {
   if (weight != 0) t0 = Clock::now();
 }
 
-long detail::PhaseClock::end_ns() const {
+long RealSystem::PhaseClock::end_ns() const {
   return weight != 0 ? weight * ns_since(t0) : 0;
 }
 
@@ -525,393 +523,6 @@ void RealSystem::solve_modified(const num::RealVector& x,
 
 void RealSystem::solve_held(const num::RealVector& b, num::RealVector& y) {
   slu_.solve(b, y);
-}
-
-// ----------------------------------------------------------- EnsembleSystem
-
-struct EnsembleSystem::Impl {
-  int n = 0;
-  int nlanes = 0;
-  int nodes = 0;  // non-ground node count (gshunt diagonal loop)
-  std::shared_ptr<const num::RealSparseMatrix> skeleton;
-  // Structure copy: add_at searches while recording slot tables, and
-  // the per-lane gather target for numeric factorization.
-  num::RealSparseMatrix scratch;
-  std::shared_ptr<const num::SparseSymbolic> sym;
-  std::vector<num::RealSparseLu> lus;  // per-lane numeric payloads
-  num::EnsembleValues vals, base_vals;
-  std::vector<num::RealVector> rhs, base_rhs;
-  std::vector<AssembleParams> base_p;
-  std::vector<char> base_valid;
-  // Per-lane device lists, linear/nonlinear split in netlist order; the
-  // same list position holds the lane-local instance of one circuit
-  // position in every lane.
-  std::vector<std::vector<const ckt::Device*>> lin, nonlin;
-  std::vector<detail::BatchRun> lin_runs, nonlin_runs;  // from lane 0
-  // Private mutable slot tables, seeded from the nominal lane's cache
-  // when valid but never published back (the per-sample path owns that
-  // protocol; nothing aliases these).
-  num::StampSlotTables tables;
-  num::RealVector res, dx;
-  FactorStats stats;
-  detail::PhaseClock stamp_clock, factor_clock, solve_clock;
-  // Per-call staging, reused across calls to avoid reallocation.  The
-  // contexts are rebuilt each assemble -- they hold references into
-  // that call's rhs/xs vectors.
-  std::vector<ckt::StampContext> ctxs;
-  std::vector<int> need;
-  std::vector<const ckt::Device* const*> devp;
-  std::vector<ckt::StampContext*> ctxp;
-
-  num::StampSlotPass& pass_for(bool newton_pass, ckt::AnalysisMode mode) {
-    if (mode == ckt::AnalysisMode::kDcOp)
-      return newton_pass ? tables.newton_dcop : tables.base_dcop;
-    return newton_pass ? tables.newton_tran : tables.base_tran;
-  }
-
-  ckt::StampContext& push_ctx(const AssembleParams& p,
-                              const num::RealVector& x, num::RealVector& r,
-                              double* lane_base) {
-    ctxs.emplace_back(p.mode, x, scratch, r);
-    ckt::StampContext& c = ctxs.back();
-    apply_params(p, c);
-    c.set_slot_target(lane_base, nlanes);
-    return c;
-  }
-
-  // Windowed replay through the plain virtual stamp for one lane
-  // (devices [begin, end) of the pass); the fallback whenever a
-  // lockstep kernel does not exist or a table is freshly recorded.
-  bool replay_generic(ckt::StampContext& c,
-                      const std::vector<const ckt::Device*>& devs,
-                      const num::StampSlotPass& pass, std::size_t begin,
-                      std::size_t end) {
-    bool ok = true;
-    for (std::size_t j = begin; j < end; ++j) {
-      const auto [b, e] = pass.windows[j];
-      c.arm_slot_replay(pass.slots.data() + b, e - b);
-      devs[j]->stamp(c);
-      ok &= c.finish_slot_replay();
-    }
-    return ok;
-  }
-
-  // One lane-major pass over a device split.  With a recorded table the
-  // homogeneous runs dispatch to the per-class stamp_lanes() kernels
-  // (device-outer / lane-inner over the shared slot windows); a pass
-  // not yet recorded records with the first active lane (searched
-  // assembly) and replays the fresh table for the rest.  Any replay
-  // mismatch fell back to searched writes (values stay correct) and
-  // schedules a re-record by clearing `recorded`.
-  void lane_pass(const int* active, int nactive,
-                 std::vector<ckt::StampContext>& cxs,
-                 const std::vector<std::vector<const ckt::Device*>>& devlists,
-                 const std::vector<detail::BatchRun>& runs,
-                 num::StampSlotPass& pass) {
-    const std::size_t ndev =
-        devlists[static_cast<std::size_t>(active[0])].size();
-    if (ndev == 0) return;
-    if (!pass.recorded || pass.windows.size() != ndev) {
-      pass.slots.clear();
-      pass.windows.clear();
-      pass.windows.reserve(ndev);
-      {
-        ckt::StampContext& c = cxs[0];
-        c.arm_slot_record(&pass.slots);
-        for (const ckt::Device* d :
-             devlists[static_cast<std::size_t>(active[0])]) {
-          const int b = static_cast<int>(pass.slots.size());
-          d->stamp(c);
-          pass.windows.emplace_back(b, static_cast<int>(pass.slots.size()));
-        }
-        c.disarm_slots();
-      }
-      pass.recorded = true;
-      bool ok = true;
-      for (int i = 1; i < nactive; ++i)
-        ok &= replay_generic(cxs[static_cast<std::size_t>(i)],
-                             devlists[static_cast<std::size_t>(active[i])],
-                             pass, 0, ndev);
-      if (!ok) pass.recorded = false;
-      return;
-    }
-    bool ok = true;
-    for (const detail::BatchRun& run : runs) {
-      devp.clear();
-      ctxp.clear();
-      for (int i = 0; i < nactive; ++i) {
-        devp.push_back(
-            devlists[static_cast<std::size_t>(active[i])].data() + run.begin);
-        ctxp.push_back(&cxs[static_cast<std::size_t>(i)]);
-      }
-      ckt::EnsembleRun er;
-      er.devs = devp.data();
-      er.ndev = static_cast<std::size_t>(run.end - run.begin);
-      er.nlanes = static_cast<std::size_t>(nactive);
-      er.ctx = ctxp.data();
-      er.slots = pass.slots.data();
-      er.windows = pass.windows.data() + run.begin;
-      switch (run.kind) {
-        case kResistorKind: ok &= dev::Resistor::stamp_lanes(er); break;
-        case kCapacitorKind: ok &= dev::Capacitor::stamp_lanes(er); break;
-        case kMosfetKind: ok &= dev::Mosfet::stamp_lanes(er); break;
-        case kDiodeKind: ok &= dev::Diode::stamp_lanes(er); break;
-        case kBjtKind: ok &= dev::Bjt::stamp_lanes(er); break;
-        case kVSourceKind: ok &= dev::VSource::stamp_lanes(er); break;
-        case kISourceKind: ok &= dev::ISource::stamp_lanes(er); break;
-        default:
-          for (int i = 0; i < nactive; ++i)
-            ok &= replay_generic(
-                cxs[static_cast<std::size_t>(i)],
-                devlists[static_cast<std::size_t>(active[i])], pass,
-                static_cast<std::size_t>(run.begin),
-                static_cast<std::size_t>(run.end));
-      }
-    }
-    if (!ok) pass.recorded = false;
-  }
-};
-
-EnsembleSystem::EnsembleSystem() : impl_(std::make_unique<Impl>()) {}
-EnsembleSystem::~EnsembleSystem() = default;
-EnsembleSystem::EnsembleSystem(EnsembleSystem&&) noexcept = default;
-EnsembleSystem& EnsembleSystem::operator=(EnsembleSystem&&) noexcept =
-    default;
-
-int EnsembleSystem::lanes() const { return impl_->nlanes; }
-int EnsembleSystem::unknowns() const { return impl_->n; }
-const FactorStats& EnsembleSystem::stats() const { return impl_->stats; }
-
-int EnsembleSystem::lane_singular_col(int lane) const {
-  return impl_->lus[static_cast<std::size_t>(lane)].singular_col();
-}
-
-void EnsembleSystem::invalidate_lanes(const int* lane_ids, int n) {
-  for (int i = 0; i < n; ++i)
-    impl_->base_valid[static_cast<std::size_t>(lane_ids[i])] = 0;
-}
-
-bool EnsembleSystem::init(const std::vector<ckt::Netlist*>& lanes) {
-  *impl_ = Impl{};
-  Impl& im = *impl_;
-  if (lanes.empty()) return false;
-  for (ckt::Netlist* nl : lanes)
-    if (!nl) return false;
-  ckt::Netlist& nom = *lanes[0];
-  const int n = nom.assign_unknowns();
-  const std::size_t ndev = nom.devices().size();
-  const std::uint64_t fp = nom.topology_fingerprint();
-  for (std::size_t k = 1; k < lanes.size(); ++k) {
-    ckt::Netlist& nl = *lanes[k];
-    if (nl.assign_unknowns() != n || nl.devices().size() != ndev ||
-        nl.topology_fingerprint() != fp)
-      return false;
-  }
-  im.n = n;
-  im.nlanes = static_cast<int>(lanes.size());
-  im.nodes = nom.node_count() - 1;
-  // Shared structure: adopt the nominal lane's cached skeleton,
-  // symbolic analysis and slot tables when valid, else build fresh.
-  // Reads only -- the ensemble owns its structure privately and never
-  // writes any lane's cache.
-  const num::SolverCache& cache = nom.solver_cache();
-  if (cache.skeleton && cache.unknowns == n && cache.devices == ndev &&
-      cache.structure_rev == nom.structure_revision()) {
-    im.skeleton = cache.skeleton;
-    im.sym = cache.symbolic;
-    if (cache.slots && cache.slots->skeleton == cache.skeleton.get() &&
-        cache.slots->nnz == cache.skeleton->nnz())
-      im.tables = *cache.slots;
-  } else {
-    im.skeleton =
-        std::make_shared<const num::RealSparseMatrix>(mna_pattern(nom));
-  }
-  im.scratch = *im.skeleton;
-  im.tables.skeleton = im.skeleton.get();
-  im.tables.nnz = im.scratch.nnz();
-  if (static_cast<int>(im.tables.diag.size()) != im.nodes) {
-    im.tables.diag.resize(static_cast<std::size_t>(im.nodes));
-    for (int i = 0; i < im.nodes; ++i)
-      im.tables.diag[static_cast<std::size_t>(i)] =
-          im.scratch.find_index(i, i);  // never -1: mna_pattern adds them
-  }
-  im.lus.resize(static_cast<std::size_t>(im.nlanes));
-  if (im.sym)
-    for (auto& lu : im.lus) lu.adopt_symbolic(im.sym);
-  im.vals.init(im.scratch.nnz(), im.nlanes);
-  im.base_vals.init(im.scratch.nnz(), im.nlanes);
-  im.rhs.assign(static_cast<std::size_t>(im.nlanes),
-                num::RealVector(static_cast<std::size_t>(n), 0.0));
-  im.base_rhs = im.rhs;
-  im.base_p.assign(static_cast<std::size_t>(im.nlanes), AssembleParams{});
-  im.base_valid.assign(static_cast<std::size_t>(im.nlanes), 0);
-  im.lin.resize(static_cast<std::size_t>(im.nlanes));
-  im.nonlin.resize(static_cast<std::size_t>(im.nlanes));
-  for (std::size_t k = 0; k < lanes.size(); ++k)
-    for (const auto& d : lanes[k]->devices())
-      (d->is_nonlinear() ? im.nonlin[k] : im.lin[k]).push_back(d.get());
-  im.lin_runs = segment_runs(im.lin[0]);
-  im.nonlin_runs = segment_runs(im.nonlin[0]);
-  im.ctxs.reserve(static_cast<std::size_t>(im.nlanes));
-  return true;
-}
-
-void EnsembleSystem::assemble(const int* active, int nactive,
-                              const std::vector<num::RealVector>& xs,
-                              const AssembleParams& p) {
-  Impl& im = *impl_;
-  im.stamp_clock.begin();
-  // Per-lane linear base images: restamp only the lanes whose
-  // AssembleParams changed (or were invalidated); everyone else
-  // restores by a lane copy, exactly like RealSystem's base image.
-  im.need.clear();
-  for (int i = 0; i < nactive; ++i) {
-    const int k = active[i];
-    if (!im.base_valid[static_cast<std::size_t>(k)] ||
-        !(p == im.base_p[static_cast<std::size_t>(k)]))
-      im.need.push_back(k);
-  }
-  if (!im.need.empty()) {
-    im.ctxs.clear();
-    for (int k : im.need) {
-      im.base_vals.clear_lane(k);
-      im.base_rhs[static_cast<std::size_t>(k)].assign(
-          static_cast<std::size_t>(im.n), 0.0);
-      im.push_ctx(p, xs[static_cast<std::size_t>(k)],
-                  im.base_rhs[static_cast<std::size_t>(k)],
-                  im.base_vals.data() + k);
-    }
-    im.lane_pass(im.need.data(), static_cast<int>(im.need.size()), im.ctxs,
-                 im.lin, im.lin_runs, im.pass_for(false, p.mode));
-    for (int k : im.need) {
-      for (int i = 0; i < im.nodes; ++i)
-        im.base_vals.at(im.tables.diag[static_cast<std::size_t>(i)], k) +=
-            p.gshunt;
-      im.base_p[static_cast<std::size_t>(k)] = p;
-      im.base_valid[static_cast<std::size_t>(k)] = 1;
-    }
-  }
-  for (int i = 0; i < nactive; ++i) {
-    const int k = active[i];
-    im.vals.copy_lane_from(im.base_vals, k, k);
-    im.rhs[static_cast<std::size_t>(k)] =
-        im.base_rhs[static_cast<std::size_t>(k)];
-  }
-  im.ctxs.clear();
-  for (int i = 0; i < nactive; ++i) {
-    const int k = active[i];
-    im.push_ctx(p, xs[static_cast<std::size_t>(k)],
-                im.rhs[static_cast<std::size_t>(k)], im.vals.data() + k);
-  }
-  im.lane_pass(active, nactive, im.ctxs, im.nonlin, im.nonlin_runs,
-               im.pass_for(true, p.mode));
-  // Fault parity with RealSystem::assemble, plus a lane-addressed site
-  // for deterministic cohort-split tests: poisoning one lane's rhs must
-  // split that lane off without disturbing its cohort-mates' results.
-  if (MSIM_FAULTPOINT("device_eval_nan") && nactive > 0)
-    im.rhs[static_cast<std::size_t>(active[0])][0] =
-        std::numeric_limits<double>::quiet_NaN();
-  for (int i = 0; i < nactive; ++i)
-    if (MSIM_FAULTPOINT_AT("ensemble_lane_nan", active[i]))
-      im.rhs[static_cast<std::size_t>(active[i])][0] =
-          std::numeric_limits<double>::quiet_NaN();
-  im.stats.stamp_ns += im.stamp_clock.end_ns();
-}
-
-void EnsembleSystem::update(const int* active, int nactive, const bool* fresh,
-                            const char* const* reasons,
-                            const std::vector<num::RealVector>& xs,
-                            std::vector<num::RealVector>& x_new, bool* ok) {
-  Impl& im = *impl_;
-  const std::size_t n = static_cast<std::size_t>(im.n);
-  bool any_fresh = false;
-  for (int i = 0; i < nactive; ++i) any_fresh |= fresh[i];
-  if (any_fresh) {
-    im.factor_clock.begin();
-    for (int i = 0; i < nactive; ++i) {
-      if (!fresh[i] || !ok[i]) continue;
-      const int k = active[i];
-      ++im.stats.factor_count;
-      ++im.stats.refactor_reasons[reasons[i]];
-      g_factor_calls.fetch_add(1, std::memory_order_relaxed);
-      // Same injected-failure semantics as RealSystem::factor.
-      if (MSIM_FAULTPOINT("sparse_factor_fail")) {
-        ok[i] = false;
-        continue;
-      }
-      im.vals.gather_lane(k, im.scratch.values());
-      im.lus[static_cast<std::size_t>(k)].factor(im.scratch);
-      if (im.lus[static_cast<std::size_t>(k)].singular()) {
-        ok[i] = false;
-        continue;
-      }
-      // The first successful factor of the ensemble ran the symbolic
-      // analysis; share its pivot order with every other lane so they
-      // refactor numerically from their first attempt.
-      if (!im.sym) {
-        im.sym = im.lus[static_cast<std::size_t>(k)].export_symbolic();
-        for (auto& lu : im.lus)
-          if (!lu.has_symbolic()) lu.adopt_symbolic(im.sym);
-      }
-    }
-    im.stats.factor_ns += im.factor_clock.end_ns();
-  }
-  im.solve_clock.begin();
-  for (int i = 0; i < nactive; ++i) {
-    if (!ok[i]) continue;
-    const int k = active[i];
-    num::RealVector& rhs = im.rhs[static_cast<std::size_t>(k)];
-    num::RealVector& xn = x_new[static_cast<std::size_t>(k)];
-    num::RealSparseLu& lu = im.lus[static_cast<std::size_t>(k)];
-    if (fresh[i]) {
-      lu.solve(rhs, xn);
-      if (lu.condition_estimate() > kCondCheckThreshold) {
-        // Ill-conditioned lane: residual check plus one refinement
-        // round, mirroring RealSystem::solve.  The factorization here
-        // is already fresh, so the per-sample path's forced-refactor
-        // escalation has no analogue; persistent trouble is left to
-        // the Newton watchdog.
-        double rhs_inf = 0.0, x_inf = 0.0, a_max = 0.0;
-        for (std::size_t r = 0; r < n; ++r) {
-          rhs_inf = std::max(rhs_inf, std::abs(rhs[r]));
-          x_inf = std::max(x_inf, std::abs(xn[r]));
-        }
-        const double* lv = im.vals.data() + k;
-        for (int e = 0; e < im.vals.nnz; ++e)
-          a_max = std::max(a_max,
-                           std::abs(lv[static_cast<std::size_t>(e) *
-                                       static_cast<std::size_t>(im.nlanes)]));
-        const double tol = 1e-9 * (a_max * x_inf + rhs_inf) + 1e-300;
-        auto residual_inf = [&]() {
-          num::ensemble_multiply(*im.skeleton, im.vals, k, xn, im.res);
-          double rinf = 0.0;
-          for (std::size_t r = 0; r < n; ++r) {
-            im.res[r] = rhs[r] - im.res[r];
-            if (std::isnan(im.res[r]))
-              return std::numeric_limits<double>::max();
-            rinf = std::max(rinf, std::abs(im.res[r]));
-          }
-          return rinf;
-        };
-        if (residual_inf() > tol) {
-          lu.solve(im.res, im.dx);
-          for (std::size_t r = 0; r < n; ++r) xn[r] += im.dx[r];
-          ++im.stats.refine_count;
-        }
-      }
-    } else {
-      // Modified-Newton update against this lane's stale LU: the
-      // residual uses the lane's FRESH values via the strided multiply.
-      const num::RealVector& x = xs[static_cast<std::size_t>(k)];
-      num::ensemble_multiply(*im.skeleton, im.vals, k, x, im.res);
-      for (std::size_t r = 0; r < n; ++r) im.res[r] = rhs[r] - im.res[r];
-      lu.solve(im.res, im.dx);
-      xn.resize(n);
-      for (std::size_t r = 0; r < n; ++r) xn[r] = x[r] + im.dx[r];
-      ++im.stats.reuse_count;
-    }
-  }
-  im.stats.solve_ns += im.solve_clock.end_ns();
 }
 
 AcSplit split_ac(const ckt::Netlist& nl, double gshunt) {

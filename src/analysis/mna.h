@@ -95,36 +95,6 @@ void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
                    const AssembleParams& p, num::RealMatrix& jac,
                    num::RealVector& rhs);
 
-namespace detail {
-
-// A maximal run of consecutive same-concrete-class devices inside a
-// linear or nonlinear device list (segmentation preserves stamp order
-// exactly, so batched assembly is bit-identical to the per-device
-// loop).
-struct BatchRun {
-  int kind = 0;  // BatchKind (mna.cc); 0 = heterogeneous/virtual
-  int begin = 0;
-  int end = 0;
-};
-
-// Sampled phase timer behind the stamp/factor/solve breakdown: the
-// first calls of a phase are timed exactly, later ones 1-in-N with the
-// measured duration scaled by N (mna.cc).  A clock read costs ~30 ns
-// on this class of host -- exact per-call timing measurably slowed
-// tiny systems (the 3-unknown linear-rc bench), while the sampled
-// estimate converges on exactly the homogeneous hot loops where the
-// breakdown matters.  RealSystem ticks it per call, EnsembleSystem per
-// cohort call.
-struct PhaseClock {
-  long calls = 0;
-  long weight = 0;  // 0 = untimed call, else ns multiplier
-  std::chrono::steady_clock::time_point t0;
-  void begin();
-  long end_ns() const;
-};
-
-}  // namespace detail
-
 // Reusable workspace for the large-signal Newton systems: one sparse
 // matrix, one factorization whose symbolic analysis persists across
 // factor() calls, and the rhs buffer.  It
@@ -208,7 +178,29 @@ class RealSystem {
   const num::RealSparseMatrix& sparse_jac() const { return sjac_; }
 
  private:
-  using BatchRun = detail::BatchRun;
+  // A maximal run of consecutive same-concrete-class devices inside a
+  // linear or nonlinear device list (segmentation preserves stamp order
+  // exactly, so batched assembly is bit-identical to the per-device
+  // loop).
+  struct BatchRun {
+    int kind = 0;  // BatchKind (mna.cc); 0 = heterogeneous/virtual
+    int begin = 0;
+    int end = 0;
+  };
+  // Sampled phase timer behind the stamp/factor/solve breakdown: the
+  // first calls of a phase are timed exactly, later ones 1-in-N with the
+  // measured duration scaled by N (mna.cc).  A clock read costs ~30 ns
+  // on this class of host -- exact per-call timing measurably slowed
+  // tiny systems (the 3-unknown linear-rc bench), while the sampled
+  // estimate converges on exactly the homogeneous hot loops where the
+  // breakdown matters.
+  struct PhaseClock {
+    long calls = 0;
+    long weight = 0;  // 0 = untimed call, else ns multiplier
+    std::chrono::steady_clock::time_point t0;
+    void begin();
+    long end_ns() const;
+  };
 
   void stamp_pass(const std::vector<const ckt::Device*>& devs,
                   const std::vector<BatchRun>& runs, bool newton_pass,
@@ -249,72 +241,7 @@ class RealSystem {
   // Modified-Newton scratch (solve_modified forbids aliasing b with x).
   num::RealVector res_, dx_;
   FactorStats stats_;
-  detail::PhaseClock stamp_clock_, factor_clock_, solve_clock_;
-};
-
-// Lockstep Monte-Carlo assembly across N same-topology netlists
-// ("lanes").  All lanes share one CSR skeleton, one stamp-slot table
-// and one symbolic LU analysis; the Jacobian values live in a
-// lane-blocked num::EnsembleValues array (slot index -> N adjacent
-// lane values), so one slot-table replay writes all N matrices and the
-// per-class stamp_lanes() kernels run the device model math
-// device-outer / lane-inner.  Factorizations stay per-lane numeric
-// (gather lane, refactor along the shared symbolic structure), and the
-// modified-Newton update solves against each lane's stale LU with a
-// strided residual multiply.  Sparse only; the caller (the ensemble
-// transient driver) falls back to per-sample RealSystem runs whenever
-// init() refuses the lane set.
-class EnsembleSystem {
- public:
-  EnsembleSystem();
-  ~EnsembleSystem();
-  EnsembleSystem(EnsembleSystem&&) noexcept;
-  EnsembleSystem& operator=(EnsembleSystem&&) noexcept;
-
-  // Builds the shared structure for the lane set.  All lanes need the
-  // same unknown count and topology fingerprint (MC clones of one
-  // netlist); returns false when they disagree (caller falls back to
-  // the per-sample path).  Adopts skeleton/symbolic/slots from lane
-  // 0's solver cache when present.
-  bool init(const std::vector<ckt::Netlist*>& lanes);
-
-  int lanes() const;
-  int unknowns() const;
-
-  // Drops the cached per-lane linear base images for the given lanes
-  // (device integration history advanced; the transient loop calls
-  // this once per attempted step for the stepping cohort).
-  void invalidate_lanes(const int* lane_ids, int n);
-
-  // Assembles jac+rhs for every lane in active[0..nactive): per-lane
-  // linear base restamp/restore plus one lane-major nonlinear pass
-  // through the stamp_lanes kernels.  xs/x sizing is per-lane (index
-  // by lane id).  One sampled stamp-clock tick per call, not per lane.
-  void assemble(const int* active, int nactive,
-                const std::vector<num::RealVector>& xs,
-                const AssembleParams& p);
-
-  // Factor/solve phase of one cohort Newton iteration: lanes flagged
-  // fresh[i] get a numeric refactor (tagged reasons[i]) and a direct
-  // solve; stale lanes get the modified-Newton update
-  // x_new = x + J0^{-1}(rhs - A x) against their last factorization.
-  // ok[i] (pre-set true by the caller) turns false on a singular or
-  // fault-injected factorization.  One sampled clock tick per phase
-  // per call.
-  void update(const int* active, int nactive, const bool* fresh,
-              const char* const* reasons,
-              const std::vector<num::RealVector>& xs,
-              std::vector<num::RealVector>& x_new, bool* ok);
-
-  // Unknown whose pivot failed in lane `lane`'s last factor attempt.
-  int lane_singular_col(int lane) const;
-
-  // Aggregate factor/reuse/phase-time telemetry across all lanes.
-  const FactorStats& stats() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  PhaseClock stamp_clock_, factor_clock_, solve_clock_;
 };
 
 // The small-signal system of a netlist at its saved operating point,

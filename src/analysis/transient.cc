@@ -1,11 +1,9 @@
 #include "analysis/transient.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <sstream>
 
 #include "analysis/mna.h"
@@ -291,14 +289,6 @@ std::string TranTelemetry::summary() const {
     os << "  iterative refinement " << refine_count << " rounds\n";
   if (budget_truncated)
     os << "  budget truncated     yes (" << budget_stop << ")\n";
-  if (ensemble_lanes > 0) {
-    os << "  ensemble             " << ensemble_lanes << " lanes, "
-       << ensemble_cohort_splits << " cohort splits, "
-       << ensemble_cohort_rejoins << " rejoins";
-    if (ensemble_samples_per_sec > 0.0)
-      os << ", " << ensemble_samples_per_sec << " samples/s";
-    os << "\n";
-  }
   return os.str();
 }
 
@@ -315,10 +305,6 @@ std::string TranTelemetry::reuse_stats_json() const {
      << ", \"refine_count\": " << refine_count
      << ", \"budget_truncated\": " << (budget_truncated ? "true" : "false")
      << ", \"budget_stop\": \"" << budget_stop << "\""
-     << ", \"ensemble_lanes\": " << ensemble_lanes
-     << ", \"ensemble_cohort_splits\": " << ensemble_cohort_splits
-     << ", \"ensemble_cohort_rejoins\": " << ensemble_cohort_rejoins
-     << ", \"ensemble_samples_per_sec\": " << ensemble_samples_per_sec
      << ", \"refactor_reasons\": {";
   bool first = true;
   for (const auto& [k, v] : refactor_reasons) {
@@ -391,9 +377,14 @@ void fill_step_diag(const ckt::Netlist& nl, const StepOutcome& out,
 }
 
 // Body of run_transient; the workspace lives in the caller so the
-// factorization stats reach the telemetry on every return path.
+// factorization stats reach the telemetry on every return path.  A
+// non-null `op_seed` starts the initial OP's Newton from that state
+// (OpOptions::initial_guess); a non-null `op_x` receives the converged
+// OP (left empty when the OP failed or initial_state skipped it).
 TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
-                               StepWorkspace& ws) {
+                               StepWorkspace& ws,
+                               const num::RealVector* op_seed,
+                               num::RealVector* op_x) {
   TranResult r;
 
   num::RealVector x0;
@@ -411,6 +402,7 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
     op_opt.lint = opt.lint;
     op_opt.lint_strict = opt.lint_strict;
     op_opt.budget = opt.budget;
+    if (op_seed) op_opt.initial_guess = *op_seed;
     const OpResult op = solve_op(nl, op_opt);
     if (!op.converged) {
       r.diag = op.diag;
@@ -425,6 +417,7 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
     r.telemetry.op_method = op.method;
     r.telemetry.op_iterations = op.iterations;
     x0 = op.x;
+    if (op_x) *op_x = op.x;
   }
 
   for (const auto& d : nl.devices()) d->begin_transient(x0);
@@ -620,11 +613,11 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
   return r;
 }
 
-}  // namespace
-
-TranResult run_transient(ckt::Netlist& nl, const TranOptions& opt) {
+TranResult run_transient_seeded(ckt::Netlist& nl, const TranOptions& opt,
+                                const num::RealVector* op_seed,
+                                num::RealVector* op_x) {
   StepWorkspace ws;
-  TranResult r = run_transient_inner(nl, opt, ws);
+  TranResult r = run_transient_inner(nl, opt, ws, op_seed, op_x);
   const FactorStats& fs = ws.sys.stats();
   r.telemetry.factor_count = fs.factor_count;
   r.telemetry.reuse_count = fs.reuse_count;
@@ -634,6 +627,12 @@ TranResult run_transient(ckt::Netlist& nl, const TranOptions& opt) {
   r.telemetry.solve_ns = fs.solve_ns;
   r.telemetry.refine_count = fs.refine_count;
   return r;
+}
+
+}  // namespace
+
+TranResult run_transient(ckt::Netlist& nl, const TranOptions& opt) {
+  return run_transient_seeded(nl, opt, nullptr, nullptr);
 }
 
 std::vector<TranResult> run_transient_sweep(
@@ -653,16 +652,20 @@ std::vector<TranResult> run_transient_sweep(
   }
   // Hoisted structural sharing: case 0 runs serially and primes the
   // pattern / symbolic LU / stamp slots; every later case with the same
-  // topology fingerprint adopts that cache instead of re-analyzing.
-  // The adopted cache is always case 0's regardless of scheduling, so
-  // the thread-count determinism contract is preserved.
+  // topology fingerprint adopts that cache instead of re-analyzing, and
+  // starts its OP Newton from case 0's converged OP (cold when case 0's
+  // OP failed or the topology differs).  The adopted cache and the seed are always case 0's
+  // regardless of scheduling, so the thread-count determinism contract
+  // is preserved.
   if (opt.share_structure && n > 1) {
     ckt::Netlist nl0;
     TranOptions topt0;
     configure(0, nl0, topt0);
     topt0.budget = opt.budget;
+    num::RealVector op0;
     if (!opt.budget || !opt.budget->exhausted())
-      results[0] = run_transient(nl0, topt0);
+      results[0] = run_transient_seeded(nl0, topt0, nullptr, &op0);
+    const num::RealVector* seed = op0.empty() ? nullptr : &op0;
     const std::uint64_t fp0 = nl0.topology_fingerprint();
     core::parallel_for_chunked(
         opt.threads, n - 1, opt.chunk,
@@ -672,8 +675,10 @@ std::vector<TranResult> run_transient_sweep(
           TranOptions topt;
           configure(i, nl, topt);
           topt.budget = opt.budget;
-          if (nl.topology_fingerprint() == fp0) nl.adopt_solver_cache(nl0);
-          results[i] = run_transient(nl, topt);
+          const bool same = nl.topology_fingerprint() == fp0;
+          if (same) nl.adopt_solver_cache(nl0);
+          results[i] =
+              run_transient_seeded(nl, topt, same ? seed : nullptr, nullptr);
         },
         opt.budget);
     return results;
@@ -692,605 +697,6 @@ std::vector<TranResult> run_transient_sweep(
       },
       opt.budget);
   return results;
-}
-
-// ---------------------------------------------------------------- ensemble
-
-namespace {
-
-// Field-wise equality of the stepping-relevant TranOptions.  The budget
-// pointer is excluded: the ensemble driver overwrites it uniformly.
-bool same_tran_options(const TranOptions& a, const TranOptions& b) {
-  return a.t_stop == b.t_stop && a.dt == b.dt && a.temp_k == b.temp_k &&
-         a.vtol == b.vtol && a.reltol == b.reltol &&
-         a.max_newton == b.max_newton && a.max_step == b.max_step &&
-         a.gmin == b.gmin && a.gshunt == b.gshunt &&
-         a.use_trapezoidal == b.use_trapezoidal && a.lint == b.lint &&
-         a.lint_strict == b.lint_strict &&
-         a.max_halvings == b.max_halvings && a.record == b.record &&
-         a.record_after == b.record_after && a.adaptive == b.adaptive &&
-         a.dt_min == b.dt_min && a.dt_max == b.dt_max &&
-         a.lte_tol == b.lte_tol &&
-         a.reuse_factorization == b.reuse_factorization &&
-         a.linear_fast_path == b.linear_fast_path &&
-         a.initial_state == b.initial_state &&
-         a.first_step_backward_euler == b.first_step_backward_euler &&
-         a.step_hook == b.step_hook;
-}
-
-// A dt cohort: the lanes of one block that still agree on position and
-// step ladder.  Splits (a rejected subset halving off) and rejoins (a
-// slow cohort catching up at a base-step boundary) keep per-sample step
-// control exact while the common case stays one lockstep group.
-struct Cohort {
-  std::vector<int> mem;  // block-local lane ids, ascending
-  double t = 0.0;
-  double t_target = 0.0;  // end of the current base interval
-  double dt = 0.0;        // current sub-step ladder value
-  int halvings = 0;
-};
-
-// Everything one lockstep block owns.  Blocks are the deterministic
-// scheduling unit: serial inside, parallel across, so results are
-// bit-identical for any thread count.
-struct EnsembleBlock {
-  EnsembleSystem sys;
-  const TranOptions* opt = nullptr;       // shared (validated equal)
-  core::RunBudget* budget = nullptr;
-  const num::RealVector* nominal_x = nullptr;  // warm start for lane OPs
-  std::vector<ckt::Netlist*> lanes;
-  std::vector<TranResult*> results;       // global slots, lane-indexed
-  bool fell_back = false;                 // sys.init refused -> per-sample
-
-  // Per-lane persistent state.
-  std::vector<num::RealVector> x;    // last accepted state
-  std::vector<char> have_factor;
-  std::vector<double> factor_dt;
-  // Per-iteration scratch (lane-indexed / active-indexed).
-  std::vector<num::RealVector> xs;   // Newton candidates
-  std::vector<num::RealVector> xn;   // Newton updates
-  std::vector<int> active, next_active;
-  std::unique_ptr<bool[]> fresh, okv;
-  std::vector<const char*> reasons;
-
-  long splits = 0, rejoins = 0;
-  int max_cohorts = 0;
-};
-
-// One lockstep implicit sub-step for a cohort.  Mirrors newton_step()
-// per lane -- modified Newton with the stale-nonfinite retry, the
-// contraction watchdog and update damping -- over a shared iteration
-// loop so every active lane's Jacobian is assembled by one slot replay.
-// One deliberate difference from the per-sample path: there is no
-// reuse-profitability probe controller (lanes would disagree on the
-// probe phase and break lockstep), so reuse is simply on whenever
-// opt.reuse_factorization is set and dt matches the held factorization.
-// Returns false on budget expiry (the caller truncates every lane).
-bool cohort_newton(EnsembleBlock& b, const Cohort& co,
-                   const AssembleParams& p, std::vector<StepOutcome>& out) {
-  const TranOptions& opt = *b.opt;
-  const int nl = static_cast<int>(b.lanes.size());
-  out.assign(nl, StepOutcome{});
-  b.sys.invalidate_lanes(co.mem.data(), static_cast<int>(co.mem.size()));
-
-  std::vector<const char*> fresh_reason(
-      nl, opt.reuse_factorization ? nullptr : "full_newton");
-  std::vector<double> prev_dx(nl,
-                              std::numeric_limits<double>::infinity());
-  std::vector<int> stale_iters(nl, 0);
-  for (int k : co.mem) b.xs[k] = b.x[k];
-  b.active = co.mem;
-
-  for (int it = 0; it < opt.max_newton && !b.active.empty(); ++it) {
-    if (b.budget) {
-      // Budget parity with the per-sample path: one Newton-iteration
-      // note per lane per lockstep iteration.
-      for (std::size_t z = 0; z < b.active.size(); ++z)
-        b.budget->note_newton_iteration();
-      if (b.budget->stop_reason() != core::StopReason::kNone) return false;
-    }
-    for (int k : b.active) ++out[k].iterations;
-    const int na = static_cast<int>(b.active.size());
-    b.sys.assemble(b.active.data(), na, b.xs, p);
-    for (int i = 0; i < na; ++i) {
-      const int k = b.active[i];
-      const bool use_stale = fresh_reason[k] == nullptr &&
-                             b.have_factor[k] &&
-                             same_dt(p.dt, b.factor_dt[k]);
-      b.fresh[i] = !use_stale;
-      b.reasons[i] = fresh_reason[k]      ? fresh_reason[k]
-                     : !b.have_factor[k] ? "initial"
-                                         : "dt_change";
-      b.okv[i] = true;
-    }
-    b.sys.update(b.active.data(), na, b.fresh.get(), b.reasons.data(),
-                 b.xs, b.xn, b.okv.get());
-    b.next_active.clear();
-    for (int i = 0; i < na; ++i) {
-      const int k = b.active[i];
-      if (!b.okv[i]) {
-        b.have_factor[k] = 0;
-        out[k].fail = SolveStatus::kSingularMatrix;
-        out[k].bad_unknown = b.sys.lane_singular_col(k);
-        continue;  // lane drops out; cohort partition rejects it
-      }
-      const bool was_stale = !b.fresh[i];
-      if (!was_stale) {
-        b.have_factor[k] = 1;
-        b.factor_dt[k] = p.dt;
-      } else {
-        ++stale_iters[k];
-      }
-      const num::RealVector& xk = b.xs[k];
-      const num::RealVector& xnk = b.xn[k];
-      double max_dx = 0.0;
-      int worst = -1;
-      bool converged = true;
-      bool finite = true;
-      for (std::size_t u = 0; u < xk.size(); ++u) {
-        if (!std::isfinite(xnk[u])) {
-          finite = false;
-          worst = static_cast<int>(u);
-          break;
-        }
-        const double adx = std::abs(xnk[u] - xk[u]);
-        if (adx > max_dx) {
-          max_dx = adx;
-          worst = static_cast<int>(u);
-        }
-        if (adx > opt.vtol + opt.reltol * std::abs(xnk[u]))
-          converged = false;
-      }
-      if (!finite) {
-        if (was_stale) {
-          // Retry the same candidate with a fresh factorization before
-          // rejecting (exactly the per-sample stale_nonfinite path).
-          fresh_reason[k] = "stale_nonfinite";
-          b.next_active.push_back(k);
-          continue;
-        }
-        out[k].fail = SolveStatus::kNonFinite;
-        out[k].bad_unknown = worst;
-        continue;
-      }
-      out[k].max_dx = max_dx;
-      out[k].bad_unknown = worst;
-      if (converged) {
-        b.xs[k] = xnk;  // accepted candidate for this sub-step
-        out[k].ok = true;
-        continue;
-      }
-      if (was_stale &&
-          (max_dx > 0.5 * prev_dx[k] + opt.vtol || stale_iters[k] > 8))
-        fresh_reason[k] = "slow_convergence";
-      prev_dx[k] = max_dx;
-      const double scale =
-          max_dx > opt.max_step ? opt.max_step / max_dx : 1.0;
-      num::RealVector& xw = b.xs[k];
-      for (std::size_t u = 0; u < xw.size(); ++u)
-        xw[u] += scale * (xnk[u] - xw[u]);
-      b.next_active.push_back(k);
-    }
-    b.active.swap(b.next_active);
-  }
-  // Lanes still active after max_newton keep the default
-  // kNonConvergence outcome.
-  return true;
-}
-
-// Runs one lockstep block to completion (or budget truncation).
-void run_ensemble_block(EnsembleBlock& b) {
-  const TranOptions& opt = *b.opt;
-  const std::size_t nl = b.lanes.size();
-
-  if (!b.sys.init(b.lanes)) {
-    // Structure disagreement inside the block (should not happen after
-    // the driver's fingerprint gate, but stays a soft failure): run the
-    // block's lanes through the per-sample path.
-    b.fell_back = true;
-    for (std::size_t k = 0; k < nl; ++k)
-      *b.results[k] = run_transient(*b.lanes[k], opt);
-    return;
-  }
-
-  b.x.resize(nl);
-  b.have_factor.assign(nl, 0);
-  b.factor_dt.assign(nl, -1.0);
-  b.xs.resize(nl);
-  b.xn.resize(nl);
-  b.fresh.reset(new bool[nl]);
-  b.okv.reset(new bool[nl]);
-  b.reasons.resize(nl);
-
-  // Per-lane operating point, warm-started from the nominal OP: the
-  // perturbed samples sit within millivolts of the nominal solution, so
-  // plain Newton from the nominal x converges in a few iterations and
-  // skips the whole homotopy ladder that dominates cold-start OP cost.
-  OpOptions op_opt;
-  op_opt.temp_k = opt.temp_k;
-  op_opt.vtol = opt.vtol;
-  op_opt.reltol = opt.reltol;
-  op_opt.gmin = opt.gmin;
-  op_opt.gshunt = opt.gshunt;
-  op_opt.lint = opt.lint;
-  op_opt.lint_strict = opt.lint_strict;
-  op_opt.budget = b.budget;
-  op_opt.initial_guess = *b.nominal_x;
-
-  std::vector<char> running(nl, 0);
-  for (std::size_t k = 0; k < nl; ++k) {
-    TranResult& r = *b.results[k];
-    r = TranResult{};  // clear any "case not run" pre-fill marker
-    const OpResult op = solve_op(*b.lanes[k], op_opt);
-    if (!op.converged) {
-      r.diag = op.diag;
-      r.diag.stage =
-          "op:" + (op.diag.stage.empty() ? std::string("newton")
-                                         : op.diag.stage);
-      if (is_budget_stop(op.diag.status) && b.budget) {
-        r.telemetry.budget_truncated = true;
-        r.telemetry.budget_stop =
-            core::to_string(b.budget->stop_reason());
-      }
-      continue;
-    }
-    r.telemetry.op_method = op.method;
-    r.telemetry.op_iterations = op.iterations;
-    for (const auto& d : b.lanes[k]->devices()) d->begin_transient(op.x);
-    b.x[k] = op.x;
-    running[k] = 1;
-    if (opt.record && opt.record_after <= 0.0) {
-      r.time.push_back(0.0);
-      r.x.push_back(op.x);
-    }
-  }
-
-  AssembleParams p;
-  p.mode = ckt::AnalysisMode::kTransient;
-  p.temp_k = opt.temp_k;
-  p.gmin = opt.gmin;
-  p.gshunt = opt.gshunt;
-  p.use_trapezoidal = opt.use_trapezoidal;
-
-  std::vector<Cohort> cohorts;
-  {
-    Cohort c0;
-    for (std::size_t k = 0; k < nl; ++k)
-      if (running[k]) c0.mem.push_back(static_cast<int>(k));
-    if (c0.mem.empty()) return;
-    if (!(0.0 < opt.t_stop - 0.5 * opt.dt)) {
-      // Degenerate horizon: the per-sample loop body never runs.
-      for (int k : c0.mem) b.results[k]->ok = true;
-      return;
-    }
-    c0.t = 0.0;
-    c0.dt = opt.dt;
-    c0.t_target = std::min(opt.dt, opt.t_stop);
-    cohorts.push_back(std::move(c0));
-  }
-
-  auto truncate_all = [&](core::StopReason reason) {
-    for (const Cohort& co : cohorts) {
-      for (int k : co.mem) {
-        TranResult& r = *b.results[k];
-        r.truncated = true;
-        r.t_checkpoint = co.t;
-        r.x_checkpoint = b.x[k];
-        r.telemetry.budget_truncated = true;
-        r.telemetry.budget_stop = core::to_string(reason);
-        std::ostringstream os;
-        os << "truncated at t = " << co.t << " s after "
-           << r.telemetry.accepted_steps << " accepted steps ("
-           << core::to_string(reason) << ")";
-        r.diag = budget_stop_diag(reason, "tran_ensemble", os.str());
-      }
-    }
-    cohorts.clear();
-  };
-
-  // A cohort that reaches its base-step boundary records its members'
-  // points, finishes lanes past t_stop, and otherwise rejoins any
-  // cohort already waiting on the same fresh interval (bitwise-equal t
-  // thanks to the boundary snap) or starts the next interval itself.
-  auto arrive_boundary = [&](Cohort ca) {
-    if (opt.record && ca.t >= opt.record_after) {
-      for (int k : ca.mem) {
-        b.results[k]->time.push_back(ca.t);
-        b.results[k]->x.push_back(b.x[k]);
-      }
-    }
-    if (!(ca.t < opt.t_stop - 0.5 * opt.dt)) {
-      for (int k : ca.mem) b.results[k]->ok = true;
-      return;
-    }
-    const double next_target = std::min(ca.t + opt.dt, opt.t_stop);
-    for (Cohort& d : cohorts) {
-      if (d.t == ca.t && d.halvings == 0 && d.dt == opt.dt &&
-          d.t_target == next_target) {
-        d.mem.insert(d.mem.end(), ca.mem.begin(), ca.mem.end());
-        std::sort(d.mem.begin(), d.mem.end());
-        ++b.rejoins;
-        return;
-      }
-    }
-    ca.dt = opt.dt;
-    ca.halvings = 0;
-    ca.t_target = next_target;
-    cohorts.push_back(std::move(ca));
-  };
-
-  std::vector<StepOutcome> out;
-  while (!cohorts.empty()) {
-    b.max_cohorts =
-        std::max(b.max_cohorts, static_cast<int>(cohorts.size()));
-    // Deterministic schedule: smallest t first (ties broken by lowest
-    // first lane), so a boundary-waiting cohort is never stepped before
-    // every straggler of the previous interval has had the chance to
-    // arrive and rejoin it.
-    std::size_t ci = 0;
-    for (std::size_t j = 1; j < cohorts.size(); ++j) {
-      if (cohorts[j].t < cohorts[ci].t ||
-          (cohorts[j].t == cohorts[ci].t &&
-           cohorts[j].mem[0] < cohorts[ci].mem[0]))
-        ci = j;
-    }
-    if (b.budget) {
-      if (MSIM_FAULTPOINT("slow_step_skew"))
-        b.budget->add_skew_ms(b.budget->max_wall_ms + 1.0);
-      const core::StopReason stop = b.budget->stop_reason();
-      if (stop != core::StopReason::kNone) {
-        truncate_all(stop);
-        return;
-      }
-    }
-    Cohort co = std::move(cohorts[ci]);
-    cohorts.erase(cohorts.begin() + static_cast<std::ptrdiff_t>(ci));
-
-    const double dt = std::min(co.dt, co.t_target - co.t);
-    for (int k : co.mem) {
-      TranTelemetry& tel = b.results[k]->telemetry;
-      if (tel.min_dt_used == 0.0 || dt < tel.min_dt_used)
-        tel.min_dt_used = dt;
-    }
-    p.time = co.t + dt;
-    p.dt = dt;
-
-    if (!cohort_newton(b, co, p, out)) {
-      cohorts.push_back(std::move(co));  // restore for checkpointing
-      truncate_all(b.budget->stop_reason());
-      return;
-    }
-    for (int k : co.mem)
-      b.results[k]->telemetry.newton_iterations += out[k].iterations;
-
-    std::vector<int> acc, rej;
-    for (int k : co.mem) (out[k].ok ? acc : rej).push_back(k);
-    if (!acc.empty() && !rej.empty()) ++b.splits;
-
-    if (!acc.empty()) {
-      for (int k : acc) {
-        for (const auto& d : b.lanes[k]->devices())
-          d->accept_step(b.xs[k], dt, p.use_trapezoidal);
-        b.x[k] = b.xs[k];
-        ++b.results[k]->telemetry.accepted_steps;
-        if (b.budget) b.budget->note_step();
-      }
-      Cohort ca;
-      ca.mem = std::move(acc);
-      ca.t = co.t + dt;
-      ca.t_target = co.t_target;
-      ca.dt = co.dt;
-      ca.halvings = co.halvings;
-      if (ca.t >= ca.t_target - 1e-18) {
-        ca.t = ca.t_target;  // snap: boundary times merge bit-exactly
-        arrive_boundary(std::move(ca));
-      } else {
-        cohorts.push_back(std::move(ca));
-      }
-    }
-    if (!rej.empty()) {
-      for (int k : rej) {
-        TranTelemetry& tel = b.results[k]->telemetry;
-        if (out[k].fail == SolveStatus::kNonFinite)
-          ++tel.rejected_nonfinite;
-        else
-          ++tel.rejected_newton;
-      }
-      if (co.halvings + 1 > opt.max_halvings || 0.5 * dt < opt.dt_min) {
-        for (int k : rej)
-          fill_step_diag(*b.lanes[k], out[k], co.t, dt, *b.results[k]);
-      } else {
-        Cohort cr;
-        cr.mem = std::move(rej);
-        cr.t = co.t;
-        cr.t_target = co.t_target;
-        cr.dt = 0.5 * dt;
-        cr.halvings = co.halvings + 1;
-        cohorts.push_back(std::move(cr));
-      }
-    }
-  }
-
-  for (std::size_t k = 0; k < nl; ++k) {
-    TranTelemetry& tel = b.results[k]->telemetry;
-    tel.ensemble_lanes = static_cast<int>(nl);
-    tel.ensemble_cohort_splits = b.splits;
-    tel.ensemble_cohort_rejoins = b.rejoins;
-  }
-}
-
-}  // namespace
-
-TranEnsembleResult run_transient_ensemble(
-    std::size_t n,
-    const std::function<void(std::size_t, ckt::Netlist&, TranOptions&)>&
-        configure,
-    const TranEnsembleOptions& opt) {
-  TranEnsembleResult er;
-  er.results.resize(n);
-  TranEnsembleTelemetry& et = er.ensemble;
-  et.samples = n;
-  et.lane_width = std::max(1, opt.lane_width);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto finalize = [&] {
-    et.wall_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-    if (et.wall_ms > 0.0)
-      et.samples_per_sec =
-          static_cast<double>(n) / (et.wall_ms / 1000.0);
-    for (auto& r : er.results)
-      r.telemetry.ensemble_samples_per_sec = et.samples_per_sec;
-  };
-  if (n == 0) {
-    finalize();
-    return er;
-  }
-
-  // Build every sample up front (serially: configure's determinism
-  // contract is per-index, but the builds are cheap and this keeps the
-  // nominal-cache adoption trivially ordered).
-  std::vector<std::unique_ptr<ckt::Netlist>> nls;
-  std::vector<TranOptions> topts(n);
-  nls.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nls.push_back(std::make_unique<ckt::Netlist>());
-    configure(i, *nls[i], topts[i]);
-    topts[i].budget = opt.budget;
-  }
-
-  // Whole-run per-sample fallback, with the hoisted cache share: when
-  // the topologies agree, sample 0 runs first and every later sample
-  // adopts its structural cache before running.
-  auto per_sample = [&](const char* why) {
-    et.used_ensemble = false;
-    et.fallback_reason = why;
-    et.fallback_lanes = static_cast<int>(n);
-    if (opt.budget) {
-      for (auto& r : er.results)
-        r.diag = budget_stop_diag(core::StopReason::kNone, "tran_ensemble",
-                                  "case not run: ensemble budget "
-                                  "exhausted before this case started");
-    }
-    std::size_t start = 0;
-    if (n > 1) {
-      const std::uint64_t fp0 = nls[0]->topology_fingerprint();
-      bool shared = true;
-      for (std::size_t i = 1; i < n && shared; ++i)
-        shared = nls[i]->topology_fingerprint() == fp0;
-      if (shared) {
-        if (!opt.budget || !opt.budget->exhausted())
-          er.results[0] = run_transient(*nls[0], topts[0]);
-        for (std::size_t i = 1; i < n; ++i)
-          nls[i]->adopt_solver_cache(*nls[0]);
-        start = 1;
-      }
-    }
-    core::parallel_for_chunked(
-        opt.threads, n - start, 0,
-        [&](std::size_t j) {
-          const std::size_t i = start + j;
-          er.results[i] = run_transient(*nls[i], topts[i]);
-        },
-        opt.budget);
-  };
-
-  // Lockstep preconditions.  Any miss routes the whole run through the
-  // per-sample path with the reason recorded in the telemetry.
-  const TranOptions& base = topts[0];
-  const char* why = nullptr;
-  if (opt.force_per_sample) {
-    why = "forced";
-  } else if (n == 1) {
-    why = "single_sample";  // bit-identity contract with run_transient
-  } else if (base.adaptive) {
-    why = "adaptive";  // per-lane LTE dt controllers diverge immediately
-  } else if (base.initial_state || base.step_hook ||
-             base.first_step_backward_euler) {
-    why = "pss_restart";  // lockstep lanes share one DC warm start
-  } else {
-    for (std::size_t i = 1; i < n && !why; ++i) {
-      if (!same_tran_options(topts[i], base)) why = "options_differ";
-    }
-  }
-  if (!why) {
-    const std::uint64_t fp0 = nls[0]->topology_fingerprint();
-    for (std::size_t i = 1; i < n && !why; ++i)
-      if (nls[i]->topology_fingerprint() != fp0) why = "topology_differs";
-  }
-  OpResult nominal;
-  if (!why) {
-    // One nominal OP (full homotopy ladder) primes sample 0's solver
-    // cache and provides the warm start every lane's OP reuses.
-    OpOptions op0;
-    op0.temp_k = base.temp_k;
-    op0.vtol = base.vtol;
-    op0.reltol = base.reltol;
-    op0.gmin = base.gmin;
-    op0.gshunt = base.gshunt;
-    op0.lint = base.lint;
-    op0.lint_strict = base.lint_strict;
-    op0.budget = opt.budget;
-    nominal = solve_op(*nls[0], op0);
-    if (!nominal.converged) why = "nominal_op_failed";
-  }
-  if (why) {
-    per_sample(why);
-    finalize();
-    return er;
-  }
-
-  // Hoisted cache share: every sample adopts the nominal structural
-  // cache (pattern, symbolic LU, stamp slots) exactly once, outside any
-  // per-trial work.
-  for (std::size_t i = 1; i < n; ++i)
-    nls[i]->adopt_solver_cache(*nls[0]);
-
-  const std::vector<core::IndexBlock> blocks = core::partition_blocks(
-      n, static_cast<std::size_t>(et.lane_width));
-  et.blocks = static_cast<int>(blocks.size());
-  if (opt.budget) {
-    for (auto& r : er.results)
-      r.diag = budget_stop_diag(core::StopReason::kNone, "tran_ensemble",
-                                "case not run: ensemble budget exhausted "
-                                "before this sample's block started");
-  }
-
-  std::vector<EnsembleBlock> ctxs(blocks.size());
-  for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
-    EnsembleBlock& b = ctxs[bi];
-    b.opt = &base;
-    b.budget = opt.budget;
-    b.nominal_x = &nominal.x;
-    for (std::size_t i = blocks[bi].begin; i < blocks[bi].end; ++i) {
-      b.lanes.push_back(nls[i].get());
-      b.results.push_back(&er.results[i]);
-    }
-  }
-  core::parallel_for(
-      opt.threads, blocks.size(),
-      [&](std::size_t bi) { run_ensemble_block(ctxs[bi]); }, opt.budget);
-
-  for (const EnsembleBlock& b : ctxs) {
-    if (b.fell_back) {
-      et.fallback_lanes += static_cast<int>(b.lanes.size());
-      if (et.fallback_reason.empty())
-        et.fallback_reason = "block_init_refused";
-      continue;
-    }
-    et.cohort_splits += b.splits;
-    et.cohort_rejoins += b.rejoins;
-    et.max_cohorts = std::max(et.max_cohorts, b.max_cohorts);
-    const FactorStats& fs = b.sys.stats();
-    et.factor_count += fs.factor_count;
-    et.reuse_count += fs.reuse_count;
-    et.stamp_ns += fs.stamp_ns;
-    et.factor_ns += fs.factor_ns;
-    et.solve_ns += fs.solve_ns;
-  }
-  et.used_ensemble = et.fallback_lanes < static_cast<int>(n);
-  finalize();
-  return er;
 }
 
 }  // namespace msim::an

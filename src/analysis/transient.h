@@ -145,17 +145,6 @@ struct TranTelemetry {
   bool budget_truncated = false;
   std::string budget_stop;
   long refine_count = 0;
-  // Ensemble accounting (run_transient_ensemble lanes only; all zero
-  // for per-sample runs).  `ensemble_lanes` is the lockstep block width
-  // this sample ran in; splits/rejoins count the block's per-sample dt
-  // cohort events; samples_per_sec is the whole ensemble's throughput.
-  // Per-lane factor/stamp costs are not separable in lockstep mode, so
-  // factor_count/stamp_ns stay zero here -- the aggregate lives in
-  // TranEnsembleTelemetry.
-  int ensemble_lanes = 0;
-  long ensemble_cohort_splits = 0;
-  long ensemble_cohort_rejoins = 0;
-  double ensemble_samples_per_sec = 0.0;
 
   long rejected_total() const {
     return rejected_newton + rejected_nonfinite + rejected_lte;
@@ -212,11 +201,15 @@ struct TranSweepOptions {
   // Hoisted structural sharing for same-topology sweeps (MC samples of
   // one rig): case 0 runs first, serially, and every later case whose
   // topology fingerprint matches adopts its solver cache (pattern,
-  // symbolic LU, stamp slots) instead of re-analyzing per case.
-  // Results stay bit-identical across thread counts -- the adopted
-  // cache is always case 0's regardless of scheduling -- but can differ
-  // in the last ulps from an unshared sweep (the shared pivot order was
-  // chosen on case 0's values), so this is opt-in.
+  // symbolic LU, stamp slots) instead of re-analyzing per case, and
+  // starts its initial OP's Newton from case 0's converged OP (a
+  // perturbed sample typically converges in a few iterations where a
+  // cold full-chip OP takes ~1000); when case 0's OP fails, later cases
+  // solve theirs cold.  Results stay bit-identical across thread counts
+  // -- cache and seed are always case 0's regardless of scheduling --
+  // but can differ slightly from an unshared sweep (the shared pivot
+  // order was chosen on case 0's values, and a seeded Newton stops at a
+  // different point inside the same tolerance), so this is opt-in.
   bool share_structure = false;
 };
 
@@ -230,77 +223,5 @@ std::vector<TranResult> run_transient_sweep(
     const std::function<void(std::size_t, ckt::Netlist&, TranOptions&)>&
         configure,
     const TranSweepOptions& opt = {});
-
-// ---------------------------------------------------------------- ensemble
-
-// Ensemble transient: N perturbed samples of ONE topology advanced in
-// lockstep.  Samples are grouped into blocks of `lane_width` lanes;
-// within a block one EnsembleSystem assembles all lanes' Jacobians with
-// a single slot-table replay (lane-blocked values, device-outer /
-// lane-inner kernels) and each lane keeps its own numeric LU over the
-// shared symbolic analysis.  One nominal operating point is solved
-// first and warm-starts every lane's OP.  Per-sample local-truncation
-// control is preserved by dt COHORTS: lanes still agreeing on dt step
-// together; a lane whose sub-step is rejected splits off with its own
-// halving ladder and rejoins at the next base-step boundary, so one
-// stiff sample never serializes the rest.
-struct TranEnsembleOptions {
-  int threads = 1;    // 0 = auto; parallelism is across blocks
-  int lane_width = 8; // lanes per lockstep block (the deterministic unit)
-  // A/B switch: run every sample through the per-sample run_transient
-  // path (with the hoisted cache share) instead of the lockstep engine.
-  bool force_per_sample = false;
-  // Shared budget over the whole ensemble; expiry truncates every
-  // in-flight lane with its own checkpoint (see TranResult) and marks
-  // never-started blocks' samples with "case not run" diags.
-  core::RunBudget* budget = nullptr;
-};
-
-// Ensemble-level accounting (the per-lane TranTelemetry lives in each
-// sample's TranResult).
-struct TranEnsembleTelemetry {
-  std::size_t samples = 0;
-  int blocks = 0;
-  int lane_width = 0;
-  bool used_ensemble = false;   // false = whole run fell back per-sample
-  std::string fallback_reason;  // "" when the lockstep engine ran
-  int fallback_lanes = 0;       // samples run per-sample (block fallback)
-  long cohort_splits = 0;
-  long cohort_rejoins = 0;
-  int max_cohorts = 0;  // peak simultaneous cohorts in any block
-  // Aggregate solver effort across all blocks (per-lane shares are not
-  // separable in lockstep assembly).
-  long factor_count = 0;
-  long reuse_count = 0;
-  long stamp_ns = 0;
-  long factor_ns = 0;
-  long solve_ns = 0;
-  double wall_ms = 0.0;
-  double samples_per_sec = 0.0;
-};
-
-struct TranEnsembleResult {
-  std::vector<TranResult> results;  // one per sample, index-stable
-  TranEnsembleTelemetry ensemble;
-};
-
-// Runs sample i by calling configure(i, nl, opt) on a fresh netlist,
-// exactly like run_transient_sweep, then advances all samples in
-// lockstep.  Falls back to the per-sample path (whole-run or per-block)
-// whenever lockstep preconditions fail; TranEnsembleTelemetry::
-// fallback_reason names the first one missed: "forced"
-// (force_per_sample), "single_sample" (n == 1, the bit-identity
-// contract with run_transient), "adaptive" (adaptive stepping),
-// "pss_restart" (initial_state, step_hook or a backward-Euler first
-// step), "options_differ" (TranOptions differ across samples),
-// "topology_differs", "nominal_op_failed", or "block_init_refused"
-// (EnsembleSystem::init refused a block).  Same determinism contract as
-// the sweep: results are bit-identical for any thread count (blocks are
-// the scheduling unit and each block is serial inside).
-TranEnsembleResult run_transient_ensemble(
-    std::size_t n,
-    const std::function<void(std::size_t, ckt::Netlist&, TranOptions&)>&
-        configure,
-    const TranEnsembleOptions& opt = {});
 
 }  // namespace msim::an

@@ -81,18 +81,11 @@ class StampContext {
 
   void add_jac(int row_unknown, int col_unknown, double g) {
     if (sparse_) {
-      // Every value write goes through (svals_, sstride_): by default
-      // that is the matrix's own flat values array (stride 1); an
-      // ensemble assembly retargets it at one lane of a lane-blocked
-      // value array (stride = lane count) via set_slot_target(), and
-      // the searched fallbacks below then only use sparse_ to resolve
-      // the CSR index, never to store the value.
       if (replay_) {
         if (replay_cursor_ < replay_n_) {
           const num::StampSlot& s = replay_[replay_cursor_];
           if (s.row == row_unknown && s.col == col_unknown) {
-            svals_[static_cast<std::size_t>(s.idx) *
-                   static_cast<std::size_t>(sstride_)] += g;
+            svals_[static_cast<std::size_t>(s.idx)] += g;
             ++replay_cursor_;
             return;
           }
@@ -102,20 +95,17 @@ class StampContext {
         // searched path for this write and let the caller re-record.
         replay_ok_ = false;
         svals_[static_cast<std::size_t>(
-                   sparse_->add_at(row_unknown, col_unknown)) *
-               static_cast<std::size_t>(sstride_)] += g;
+            sparse_->add_at(row_unknown, col_unknown))] += g;
         return;
       }
       if (slot_record_) {
         const int idx = sparse_->add_at(row_unknown, col_unknown);
-        svals_[static_cast<std::size_t>(idx) *
-               static_cast<std::size_t>(sstride_)] += g;
+        svals_[static_cast<std::size_t>(idx)] += g;
         slot_record_->push_back({row_unknown, col_unknown, idx});
         return;
       }
       svals_[static_cast<std::size_t>(
-                 sparse_->add_at(row_unknown, col_unknown)) *
-             static_cast<std::size_t>(sstride_)] += g;
+          sparse_->add_at(row_unknown, col_unknown))] += g;
     } else if (dense_)
       (*dense_)(row_unknown, col_unknown) += g;
     else if (record_)
@@ -141,16 +131,6 @@ class StampContext {
     replay_n_ = n;
     replay_cursor_ = 0;
     replay_ok_ = true;
-  }
-  // Retargets Jacobian value writes at an external value array: slot
-  // index i lands at base[i * stride].  The ensemble assembler points
-  // each lane's context at its lane of a num::EnsembleValues block
-  // (base = vals.data() + lane, stride = lane count).  Sparse target
-  // only; the matrix itself is then used solely for index resolution.
-  void set_slot_target(double* base, int stride) {
-    if (!sparse_) return;
-    svals_ = base;
-    sstride_ = stride;
   }
   // Ends the current replay window; true when every write matched.  A
   // device emitting a strict PREFIX of its recorded sequence is a match
@@ -202,34 +182,11 @@ class StampContext {
   // Slot machinery (see arm_slot_record / arm_slot_replay above).
   std::vector<num::StampSlot>* slot_record_ = nullptr;
   const num::StampSlot* replay_ = nullptr;
-  // Value write target: the matrix's own values (stride 1) unless an
-  // ensemble lane was installed via set_slot_target().
+  // The sparse matrix's values array (add_at resolves the index).
   double* svals_ = nullptr;
-  int sstride_ = 1;
   int replay_n_ = 0;
   int replay_cursor_ = 0;
   bool replay_ok_ = true;
-};
-
-class Device;
-
-// One homogeneous device run staged across ensemble lanes.  The
-// ensemble assembler hands this to a device class's stamp_lanes()
-// kernel: devs[k][j] is device j of the run in lane k (the same
-// circuit position, lane-local instance), ctx[k] is lane k's
-// StampContext already retargeted at its value block, and windows[j]
-// is device j's recorded [begin, end) slot span — absolute indices
-// into `slots`, shared by every lane (all lanes replay one slot
-// table).  Kernels must preserve each lane's per-device write order
-// (arm window j, stamp device j, finish) and return false when any
-// replay failed so the caller can re-record the pass.
-struct EnsembleRun {
-  const Device* const* const* devs = nullptr;
-  std::size_t ndev = 0;    // devices in the run
-  std::size_t nlanes = 0;  // active lanes
-  StampContext* const* ctx = nullptr;
-  const num::StampSlot* slots = nullptr;
-  const std::pair<int, int>* windows = nullptr;  // absolute into `slots`
 };
 
 // Context for small-signal complex stamping at angular frequency omega.

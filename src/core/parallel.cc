@@ -155,15 +155,6 @@ void parallel_for(int threads, std::size_t n,
   ThreadPool::global().run(n, threads, fn, budget);
 }
 
-std::vector<IndexBlock> partition_blocks(std::size_t n, std::size_t width) {
-  if (width == 0) width = 1;
-  std::vector<IndexBlock> blocks;
-  blocks.reserve((n + width - 1) / width);
-  for (std::size_t lo = 0; lo < n; lo += width)
-    blocks.push_back({lo, std::min(n, lo + width)});
-  return blocks;
-}
-
 std::size_t default_chunk(int threads, std::size_t n) {
   if (threads <= 0) threads = default_thread_count();
   return std::max<std::size_t>(

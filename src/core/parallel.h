@@ -61,19 +61,6 @@ void parallel_for_chunked(int threads, std::size_t n, std::size_t chunk,
                           const std::function<void(std::size_t)>& fn,
                           const RunBudget* budget = nullptr);
 
-// Contiguous index block [begin, end) of a partitioned range.
-struct IndexBlock {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::size_t size() const { return end - begin; }
-};
-
-// Splits [0, n) into consecutive blocks of `width` indices (the last
-// block takes the remainder; width 0 is clamped to 1).  The ensemble
-// transient uses one block as its deterministic scheduling unit: lanes
-// inside a block run in lockstep on one worker, blocks parallelize.
-std::vector<IndexBlock> partition_blocks(std::size_t n, std::size_t width);
-
 // The process-wide pool behind parallel_for.  Workers are started
 // lazily (the pool grows to the largest worker count ever requested, up
 // to a hard cap) and live for the process lifetime.  Only one

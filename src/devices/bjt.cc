@@ -80,12 +80,7 @@ void Bjt::stamp(ckt::StampContext& ctx) const {
   vbe_prev_ = vbe;
   vbc_prev_ = vbc;
 
-  stamp_eval(evaluate_canonical(vbe, vbc), vbe, vbc, ctx);
-}
-
-void Bjt::stamp_eval(const Eval& e, double vbe, double vbc,
-                     ckt::StampContext& ctx) const {
-  const double sign = p_.polarity == BjtPolarity::kNpn ? 1.0 : -1.0;
+  const Eval e = evaluate_canonical(vbe, vbc);
   // Map to external currents: i_ext = sign * i_canonical; the
   // conductances are polarity-invariant (sign^2 = 1).
   const double ic_ext = sign * e.ic;
@@ -188,61 +183,6 @@ void Bjt::stamp_batch(const ckt::Device* const* devs, std::size_t n,
   // concrete class), so the qualified call devirtualizes the loop.
   for (std::size_t i = 0; i < n; ++i)
     static_cast<const Bjt*>(devs[i])->Bjt::stamp(ctx);
-}
-
-bool Bjt::stamp_lanes(const ckt::EnsembleRun& r) {
-  // Device-outer, lane-inner: junction limiting + Ebers-Moll evaluation
-  // over a lane tile (four independent lanes per unrolled step), then a
-  // per-lane emit replaying the shared slot window.  Per lane the write
-  // order equals the per-sample pass (bit-identical at one lane).
-  constexpr std::size_t kTile = 8;
-  double vbe[kTile], vbc[kTile];
-  Eval ev[kTile];
-  bool ok = true;
-  for (std::size_t j = 0; j < r.ndev; ++j) {
-    const auto& win = r.windows[j];
-    for (std::size_t k0 = 0; k0 < r.nlanes; k0 += kTile) {
-      const std::size_t kn = std::min(kTile, r.nlanes - k0);
-      for (std::size_t t = 0; t < kn; ++t) {
-        const auto* q = static_cast<const Bjt*>(r.devs[k0 + t][j]);
-        const ckt::StampContext& c = *r.ctx[k0 + t];
-        const double sign =
-            q->p_.polarity == BjtPolarity::kNpn ? 1.0 : -1.0;
-        const double vt = num::thermal_voltage(c.temp_k);
-        const double vcrit = junction_vcrit(vt, q->is_eff_);
-        double be = sign * (c.v(q->nodes_[kB]) - c.v(q->nodes_[kE]));
-        double bc = sign * (c.v(q->nodes_[kB]) - c.v(q->nodes_[kC]));
-        be = pnjlim(be, q->vbe_prev_, vt, vcrit);
-        bc = pnjlim(bc, q->vbc_prev_, vt, vcrit);
-        q->vbe_prev_ = be;
-        q->vbc_prev_ = bc;
-        vbe[t] = be;
-        vbc[t] = bc;
-      }
-      std::size_t t = 0;
-      for (; t + 4 <= kn; t += 4) {
-        ev[t + 0] = static_cast<const Bjt*>(r.devs[k0 + t + 0][j])
-                        ->evaluate_canonical(vbe[t + 0], vbc[t + 0]);
-        ev[t + 1] = static_cast<const Bjt*>(r.devs[k0 + t + 1][j])
-                        ->evaluate_canonical(vbe[t + 1], vbc[t + 1]);
-        ev[t + 2] = static_cast<const Bjt*>(r.devs[k0 + t + 2][j])
-                        ->evaluate_canonical(vbe[t + 2], vbc[t + 2]);
-        ev[t + 3] = static_cast<const Bjt*>(r.devs[k0 + t + 3][j])
-                        ->evaluate_canonical(vbe[t + 3], vbc[t + 3]);
-      }
-      for (; t < kn; ++t)
-        ev[t] = static_cast<const Bjt*>(r.devs[k0 + t][j])
-                    ->evaluate_canonical(vbe[t], vbc[t]);
-      for (std::size_t e = 0; e < kn; ++e) {
-        ckt::StampContext& c = *r.ctx[k0 + e];
-        c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-        static_cast<const Bjt*>(r.devs[k0 + e][j])
-            ->stamp_eval(ev[e], vbe[e], vbc[e], c);
-        ok &= c.finish_slot_replay();
-      }
-    }
-  }
-  return ok;
 }
 
 

@@ -54,10 +54,6 @@ class Bjt : public ckt::Device {
   // (one devirtualized loop; see RealSystem batched assembly).
   static void stamp_batch(const ckt::Device* const* devs,
                           std::size_t n, ckt::StampContext& ctx);
-  // Lockstep ensemble kernel: device-outer / lane-inner Ebers-Moll
-  // evaluation in lane tiles (see an::EnsembleSystem).  Returns false
-  // when any lane's slot replay mismatched.
-  static bool stamp_lanes(const ckt::EnsembleRun& r);
   // Interval transfer: collector-current bounds from corner evaluation
   // (Ebers-Moll is monotone up in vbe, down in vbc) and a dead verdict
   // when both junctions are provably reverse-biased.
@@ -76,11 +72,6 @@ class Bjt : public ckt::Device {
     double dib_dvbe, dib_dvbc;
   };
   Eval evaluate_canonical(double vbe, double vbc) const;
-  // Emits the Jacobian/Norton stamps for an already-computed canonical
-  // evaluation at limited voltages (the write half of stamp(); the
-  // ensemble kernel stages evaluations separately).
-  void stamp_eval(const Eval& e, double vbe, double vbc,
-                  ckt::StampContext& ctx) const;
 
   BjtParams p_;
   double temp_k_ = 300.15;

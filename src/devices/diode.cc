@@ -78,46 +78,6 @@ void Diode::stamp_batch(const ckt::Device* const* devs, std::size_t n,
     static_cast<const Diode*>(devs[i])->Diode::stamp(ctx);
 }
 
-bool Diode::stamp_lanes(const ckt::EnsembleRun& r) {
-  // Device-outer, lane-inner: the junction evaluation (pnjlim +
-  // limited exp, each lane against its own instance state and candidate
-  // solution) runs over a lane tile, then the emit loop replays the
-  // shared slot window per lane.  Per lane the write order equals the
-  // per-sample pass, so one-lane ensembles stay bit-identical.
-  constexpr std::size_t kTile = 8;
-  double gd[kTile], ieq[kTile];
-  bool ok = true;
-  for (std::size_t j = 0; j < r.ndev; ++j) {
-    const auto& win = r.windows[j];
-    for (std::size_t k0 = 0; k0 < r.nlanes; k0 += kTile) {
-      const std::size_t kn = std::min(kTile, r.nlanes - k0);
-      for (std::size_t t = 0; t < kn; ++t) {
-        const auto* d = static_cast<const Diode*>(r.devs[k0 + t][j]);
-        const ckt::StampContext& c = *r.ctx[k0 + t];
-        const double nvt = d->p_.n * num::thermal_voltage(c.temp_k);
-        const double vcrit = junction_vcrit(nvt, d->is_eff_);
-        double v = c.v(d->nodes_[0]) - c.v(d->nodes_[1]);
-        v = pnjlim(v, d->v_prev_, nvt, vcrit);
-        d->v_prev_ = v;
-        const LimitedExp e = limited_exp(v / nvt);
-        const double id = d->is_eff_ * (e.value - 1.0);
-        gd[t] = d->is_eff_ * e.deriv / nvt + c.gmin;
-        ieq[t] = id - gd[t] * v;
-      }
-      for (std::size_t t = 0; t < kn; ++t) {
-        const auto* d = static_cast<const Diode*>(r.devs[k0 + t][j]);
-        ckt::StampContext& c = *r.ctx[k0 + t];
-        c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-        c.add_conductance(d->nodes_[0], d->nodes_[1], gd[t]);
-        c.add_current_into(d->nodes_[0], -ieq[t]);
-        c.add_current_into(d->nodes_[1], ieq[t]);
-        ok &= c.finish_slot_replay();
-      }
-    }
-  }
-  return ok;
-}
-
 
 void Diode::range_eval(ckt::RangeContext& ctx) const {
   if (!ctx.verdict_pass()) return;

@@ -32,10 +32,6 @@ class Diode : public ckt::Device {
   // (one devirtualized loop; see RealSystem batched assembly).
   static void stamp_batch(const ckt::Device* const* devs,
                           std::size_t n, ckt::StampContext& ctx);
-  // Lockstep ensemble kernel: device-outer / lane-inner junction math
-  // in lane tiles (see an::EnsembleSystem).  Returns false when any
-  // lane's slot replay mismatched.
-  static bool stamp_lanes(const ckt::EnsembleRun& r);
   // Interval transfer: monotone junction I(V) bounds via limited_exp,
   // plus the never-forward-biased dead verdict.
   void range_eval(ckt::RangeContext& ctx) const override;

@@ -174,57 +174,6 @@ void Mosfet::stamp_batch(const ckt::Device* const* devs, std::size_t n,
                                                     vs[i], vb[i], ctx);
 }
 
-bool Mosfet::stamp_lanes(const ckt::EnsembleRun& r) {
-  // Device-outer, lane-inner: one device position's lanes share the
-  // same recorded slot window and the same CSR indices, so the strided
-  // lane writes of the emit loop land in adjacent memory
-  // (EnsembleValues lane blocks).  Per lane the emitted write order is
-  // still device 0..ndev-1 — identical to the per-sample pass — so a
-  // one-lane ensemble stays bit-identical to run_transient.
-  constexpr std::size_t kTile = 8;
-  double vd[kTile], vg[kTile], vs[kTile], vb[kTile];
-  Eval ev[kTile];
-  bool ok = true;
-  for (std::size_t j = 0; j < r.ndev; ++j) {
-    const auto& win = r.windows[j];
-    for (std::size_t k0 = 0; k0 < r.nlanes; k0 += kTile) {
-      const std::size_t kn = std::min(kTile, r.nlanes - k0);
-      for (std::size_t t = 0; t < kn; ++t) {
-        const auto* m = static_cast<const Mosfet*>(r.devs[k0 + t][j]);
-        const ckt::StampContext& c = *r.ctx[k0 + t];
-        vd[t] = c.v(m->nodes_[kD]);
-        vg[t] = c.v(m->nodes_[kG]);
-        vs[t] = c.v(m->nodes_[kS]);
-        vb[t] = c.v(m->nodes_[kB]);
-      }
-      // Four independent lanes per iteration give the compiler parallel
-      // dependency chains through the softplus/CLM math.
-      std::size_t t = 0;
-      for (; t + 4 <= kn; t += 4) {
-        const auto* m0 = static_cast<const Mosfet*>(r.devs[k0 + t + 0][j]);
-        const auto* m1 = static_cast<const Mosfet*>(r.devs[k0 + t + 1][j]);
-        const auto* m2 = static_cast<const Mosfet*>(r.devs[k0 + t + 2][j]);
-        const auto* m3 = static_cast<const Mosfet*>(r.devs[k0 + t + 3][j]);
-        ev[t + 0] = m0->evaluate(vd[t + 0], vg[t + 0], vs[t + 0], vb[t + 0]);
-        ev[t + 1] = m1->evaluate(vd[t + 1], vg[t + 1], vs[t + 1], vb[t + 1]);
-        ev[t + 2] = m2->evaluate(vd[t + 2], vg[t + 2], vs[t + 2], vb[t + 2]);
-        ev[t + 3] = m3->evaluate(vd[t + 3], vg[t + 3], vs[t + 3], vb[t + 3]);
-      }
-      for (; t < kn; ++t)
-        ev[t] = static_cast<const Mosfet*>(r.devs[k0 + t][j])
-                    ->evaluate(vd[t], vg[t], vs[t], vb[t]);
-      for (std::size_t e = 0; e < kn; ++e) {
-        ckt::StampContext& c = *r.ctx[k0 + e];
-        c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-        static_cast<const Mosfet*>(r.devs[k0 + e][j])
-            ->stamp_eval(ev[e], vd[e], vg[e], vs[e], vb[e], c);
-        ok &= c.finish_slot_replay();
-      }
-    }
-  }
-  return ok;
-}
-
 void Mosfet::save_op(const num::RealVector& x, double temp_k) {
   set_temperature(temp_k);
   auto v = [&](ckt::NodeId nd) { return nd == kGround ? 0.0 : x[nd - 1]; };

@@ -70,11 +70,6 @@ class Mosfet : public ckt::Device {
   // (one devirtualized loop; see RealSystem batched assembly).
   static void stamp_batch(const ckt::Device* const* devs,
                           std::size_t n, ckt::StampContext& ctx);
-  // Lockstep ensemble kernel: stamps the run across every lane of an
-  // ensemble assembly, device-outer / lane-inner with the model math
-  // unrolled four lanes wide (see an::EnsembleSystem).  Returns false
-  // when any lane's slot replay mismatched (caller re-records).
-  static bool stamp_lanes(const ckt::EnsembleRun& r);
   // Interval transfer: gate/bulk are zero-DC-current terminals (the
   // Level-1 model injects current only at drain and source), the
   // guaranteed-off verdict fires when neither channel orientation can

@@ -194,39 +194,6 @@ void Inductor::stamp_batch(const ckt::Device* const* devs, std::size_t n,
     static_cast<const Inductor*>(devs[i])->Inductor::stamp(ctx);
 }
 
-bool Resistor::stamp_lanes(const ckt::EnsembleRun& r) {
-  // Device-outer, lane-inner: one device position's lanes replay the
-  // same slot window, so the strided writes of the lane loop land in
-  // adjacent EnsembleValues memory.
-  bool ok = true;
-  for (std::size_t j = 0; j < r.ndev; ++j) {
-    const auto& win = r.windows[j];
-    for (std::size_t k = 0; k < r.nlanes; ++k) {
-      const auto* d = static_cast<const Resistor*>(r.devs[k][j]);
-      ckt::StampContext& c = *r.ctx[k];
-      c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-      c.add_conductance(d->nodes_[0], d->nodes_[1], 1.0 / d->r_eff_);
-      ok &= c.finish_slot_replay();
-    }
-  }
-  return ok;
-}
-
-bool Capacitor::stamp_lanes(const ckt::EnsembleRun& r) {
-  bool ok = true;
-  for (std::size_t j = 0; j < r.ndev; ++j) {
-    const auto& win = r.windows[j];
-    for (std::size_t k = 0; k < r.nlanes; ++k) {
-      const auto* d = static_cast<const Capacitor*>(r.devs[k][j]);
-      ckt::StampContext& c = *r.ctx[k];
-      c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-      d->Capacitor::stamp(c);
-      ok &= c.finish_slot_replay();
-    }
-  }
-  return ok;
-}
-
 
 void Resistor::range_eval(ckt::RangeContext& ctx) const {
   const ckt::NodeId p = nodes_[0], n = nodes_[1];

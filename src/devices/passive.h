@@ -31,9 +31,6 @@ class Resistor : public ckt::Device {
   // (one devirtualized loop; see RealSystem batched assembly).
   static void stamp_batch(const ckt::Device* const* devs,
                           std::size_t n, ckt::StampContext& ctx);
-  // Lockstep ensemble kernel: device-outer / lane-inner conductance
-  // stamps, writing all lanes of one CSR slot as an adjacent run.
-  static bool stamp_lanes(const ckt::EnsembleRun& r);
   // Interval transfer: conductive branch (hull-rule edge) plus Ohm's-law
   // branch-current bounds on the verdict pass.
   void range_eval(ckt::RangeContext& ctx) const override;
@@ -73,9 +70,6 @@ class Capacitor : public ckt::Device {
   // (one devirtualized loop; see RealSystem batched assembly).
   static void stamp_batch(const ckt::Device* const* devs,
                           std::size_t n, ckt::StampContext& ctx);
-  // Lockstep ensemble kernel: device-outer / lane-inner companion
-  // stamps against each lane's own integration history.
-  static bool stamp_lanes(const ckt::EnsembleRun& r);
   // Interval transfer: open in the DC abstraction (no DC current at
   // either plate).
   void range_eval(ckt::RangeContext& ctx) const override;

@@ -92,34 +92,6 @@ void ISource::stamp_batch(const ckt::Device* const* devs, std::size_t n,
     static_cast<const ISource*>(devs[i])->ISource::stamp(ctx);
 }
 
-bool VSource::stamp_lanes(const ckt::EnsembleRun& r) {
-  bool ok = true;
-  for (std::size_t j = 0; j < r.ndev; ++j) {
-    const auto& win = r.windows[j];
-    for (std::size_t k = 0; k < r.nlanes; ++k) {
-      ckt::StampContext& c = *r.ctx[k];
-      c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-      static_cast<const VSource*>(r.devs[k][j])->VSource::stamp(c);
-      ok &= c.finish_slot_replay();
-    }
-  }
-  return ok;
-}
-
-bool ISource::stamp_lanes(const ckt::EnsembleRun& r) {
-  bool ok = true;
-  for (std::size_t j = 0; j < r.ndev; ++j) {
-    const auto& win = r.windows[j];
-    for (std::size_t k = 0; k < r.nlanes; ++k) {
-      ckt::StampContext& c = *r.ctx[k];
-      c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-      static_cast<const ISource*>(r.devs[k][j])->ISource::stamp(c);
-      ok &= c.finish_slot_replay();
-    }
-  }
-  return ok;
-}
-
 
 void VSource::range_eval(ckt::RangeContext& ctx) const {
   // v(p) - v(n) = V(t) at every time point, so the waveform hull

@@ -31,9 +31,6 @@ class VSource : public ckt::Device {
   // (one devirtualized loop; see RealSystem batched assembly).
   static void stamp_batch(const ckt::Device* const* devs,
                           std::size_t n, ckt::StampContext& ctx);
-  // Lockstep ensemble kernel, device-outer / lane-inner (each lane's
-  // context carries its own time; see an::EnsembleSystem).
-  static bool stamp_lanes(const ckt::EnsembleRun& r);
   // Interval transfer: v(p) = v(n) + waveform hull, propagated both
   // directions (this is what seeds exact supply intervals).
   void range_eval(ckt::RangeContext& ctx) const override;
@@ -61,9 +58,6 @@ class ISource : public ckt::Device {
   // (one devirtualized loop; see RealSystem batched assembly).
   static void stamp_batch(const ckt::Device* const* devs,
                           std::size_t n, ckt::StampContext& ctx);
-  // Lockstep ensemble kernel, device-outer / lane-inner (each lane's
-  // context carries its own time; see an::EnsembleSystem).
-  static bool stamp_lanes(const ckt::EnsembleRun& r);
   // Interval transfer: a known current injection (identically-zero
   // sources additionally qualify as zero-DC-current terminals).
   void range_eval(ckt::RangeContext& ctx) const override;

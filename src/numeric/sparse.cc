@@ -49,25 +49,6 @@ constexpr double kPivotThreshold = 0.01;
 
 }  // namespace
 
-void ensemble_multiply(const SparseMatrix<double>& structure,
-                       const EnsembleValues& ev, int lane,
-                       const std::vector<double>& x, std::vector<double>& y) {
-  const int n = structure.rows();
-  const auto& rp = structure.row_ptr();
-  const auto& cs = structure.cols();
-  const double* vals = ev.data() + lane;
-  const std::size_t stride = static_cast<std::size_t>(ev.lanes);
-  y.assign(static_cast<std::size_t>(n), 0.0);
-  for (int r = 0; r < n; ++r) {
-    double acc = 0.0;
-    for (int k = rp[static_cast<std::size_t>(r)];
-         k < rp[static_cast<std::size_t>(r) + 1]; ++k)
-      acc += vals[static_cast<std::size_t>(k) * stride] *
-             x[static_cast<std::size_t>(cs[static_cast<std::size_t>(k)])];
-    y[static_cast<std::size_t>(r)] = acc;
-  }
-}
-
 template <typename T>
 void SparseLu<T>::factor(const SparseMatrix<T>& a) {
   singular_ = false;

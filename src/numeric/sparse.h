@@ -199,65 +199,6 @@ class SparseMatrix {
   friend class SparseMatrix;
 };
 
-// Lane-blocked CSR values for an ensemble of same-pattern matrices:
-// entry (idx, lane) lives at v[idx * lanes + lane], so the `lanes`
-// values of one CSR position are contiguous.  One stamp-slot replay
-// with a strided StampContext target writes all lanes of a slot as a
-// unit-stride run, and per-device lane loops auto-vectorize.  The
-// numeric LU still wants one lane's values flat, so gather_lane()
-// de-interleaves into a scratch SparseMatrix before factoring.
-struct EnsembleValues {
-  std::vector<double> v;
-  int nnz = 0;
-  int lanes = 0;
-
-  void init(int nnz_, int lanes_) {
-    nnz = nnz_;
-    lanes = lanes_;
-    v.assign(static_cast<std::size_t>(nnz) * static_cast<std::size_t>(lanes),
-             0.0);
-  }
-  double* data() { return v.data(); }
-  const double* data() const { return v.data(); }
-  double& at(int idx, int lane) {
-    return v[static_cast<std::size_t>(idx) * static_cast<std::size_t>(lanes) +
-             static_cast<std::size_t>(lane)];
-  }
-  double at(int idx, int lane) const {
-    return v[static_cast<std::size_t>(idx) * static_cast<std::size_t>(lanes) +
-             static_cast<std::size_t>(lane)];
-  }
-  void clear_lane(int lane) {
-    double* p = v.data() + lane;
-    for (int i = 0; i < nnz; ++i) p[static_cast<std::size_t>(i) *
-                                    static_cast<std::size_t>(lanes)] = 0.0;
-  }
-  // Copies lane `from` of `src` into lane `to` of *this (same nnz).
-  void copy_lane_from(const EnsembleValues& src, int from, int to) {
-    const double* s = src.v.data() + from;
-    double* d = v.data() + to;
-    for (int i = 0; i < nnz; ++i)
-      d[static_cast<std::size_t>(i) * static_cast<std::size_t>(lanes)] =
-          s[static_cast<std::size_t>(i) * static_cast<std::size_t>(src.lanes)];
-  }
-  // De-interleaves one lane into a flat values array (size nnz).
-  void gather_lane(int lane, std::vector<double>& out) const {
-    out.resize(static_cast<std::size_t>(nnz));
-    const double* s = v.data() + lane;
-    for (int i = 0; i < nnz; ++i)
-      out[static_cast<std::size_t>(i)] =
-          s[static_cast<std::size_t>(i) * static_cast<std::size_t>(lanes)];
-  }
-};
-
-// y = A_lane * x where A_lane shares `structure`'s CSR skeleton with its
-// values taken from lane `lane` of `ev`.  The ensemble modified-Newton
-// residual (r = rhs - A x against a stale factorization) uses this to
-// avoid gathering the lane just for a multiply.
-void ensemble_multiply(const SparseMatrix<double>& structure,
-                       const EnsembleValues& ev, int lane,
-                       const std::vector<double>& x, std::vector<double>& y);
-
 // The value-type-independent half of a SparseLu: pivot order and fill
 // structure.  Exported once and adopted by other factorizations of
 // same-pattern matrices (the complex AC system adopts the real Newton

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -112,24 +113,26 @@ double arg_num(const spice::AnalysisDirective& d, std::size_t i) {
   return spice::parse_value(d.args[i]);
 }
 
-// Most points (or time steps) one .dc/.ac/.noise/.tran directive may
-// request; every deck shipped with the project stays orders of
-// magnitude below it.  A degenerate request would otherwise pin a
-// worker or exhaust memory beyond the reach of cancel/budget checks.
-constexpr double kMaxDirectivePoints = 1e6;
-
 bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
 // The frequency grid of ".ac dec N f1 f2" / ".noise ... dec N f1 f2".
 // Points per decade and both frequencies must be finite and positive
 // (an unchecked NaN or huge N reaching the int cast is undefined
-// behaviour), and the grid must stay under the point cap.
+// behaviour), N must be an integer as in SPICE (a fractional N would be
+// truncated), the sweep must run upward, and the grid must stay under
+// the point cap.
 std::vector<double> checked_log_grid(const spice::AnalysisDirective& d,
                                      double ppd, double f1, double f2) {
   if (!finite_positive(ppd) || !finite_positive(f1) || !finite_positive(f2))
     throw std::runtime_error(
         "." + d.kind +
         " needs finite, positive points per decade and frequencies");
+  if (ppd != std::floor(ppd))
+    throw std::runtime_error("." + d.kind +
+                             " needs an integer points per decade");
+  if (f2 < f1)
+    throw std::runtime_error("." + d.kind +
+                             " stop frequency is below start frequency");
   if (ppd >= kMaxDirectivePoints ||
       std::abs(std::log10(f2) - std::log10(f1)) * ppd >=
           kMaxDirectivePoints)
@@ -435,33 +438,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
         }
         continue;
       }
-      an::TranResult res;
-      if (cli.ensemble > 1) {
-        an::TranEnsembleOptions eo;
-        eo.budget = budget_p;
-        auto er = an::run_transient_ensemble(
-            static_cast<std::size_t>(cli.ensemble),
-            [&](std::size_t, ckt::Netlist& snl, an::TranOptions& st) {
-              auto sample = spice::parse_netlist(deck_text);
-              snl = std::move(*sample.netlist);
-              st.dt = t.dt;
-              st.t_stop = t.t_stop;
-              st.temp_k = t.temp_k;
-            },
-            eo);
-        const auto& et = er.ensemble;
-        const std::string mode =
-            et.used_ensemble
-                ? "lockstep"
-                : "per-sample (" + et.fallback_reason + ")";
-        err.fmt("ensemble: %zu lanes, %d blocks (width %d), %s, "
-                "%ld splits, %ld rejoins, %.1f samples/s\n",
-                et.samples, et.blocks, et.lane_width, mode.c_str(),
-                et.cohort_splits, et.cohort_rejoins, et.samples_per_sec);
-        res = std::move(er.results[0]);
-      } else {
-        res = an::run_transient(nl, t);
-      }
+      const an::TranResult res = an::run_transient(nl, t);
       if (cli.telemetry) err.puts(res.telemetry.summary());
       if (cli.tran_stats)
         out.fmt("%s\n", res.telemetry.reuse_stats_json().c_str());
@@ -557,9 +534,8 @@ std::string options_signature(const DeckOptions& o) {
   sig << "probe=" << o.probe_arg << "|lo=" << o.lint_only
       << "|lj=" << o.lint_json << "|ls=" << o.lint_strict
       << "|rj=" << o.range_json << "|tel=" << o.telemetry
-      << "|ts=" << o.tran_stats << "|ens=" << o.ensemble
-      << "|pss=" << o.pss << "|mc=" << o.mc << "|seed=" << o.mc_seed
-      << "|dis=";
+      << "|ts=" << o.tran_stats << "|pss=" << o.pss << "|mc=" << o.mc
+      << "|seed=" << o.mc_seed << "|dis=";
   for (const auto& d : o.lint_disable) sig << d << ',';
   return sig.str();
 }
@@ -614,6 +590,72 @@ bool read_file(const std::string& path, std::string& out) {
   ss << f.rdbuf();
   out = ss.str();
   return true;
+}
+
+bool count_in_range(double v, double cap) {
+  return std::isfinite(v) && v >= 0.0 && v < cap && v == std::floor(v);
+}
+
+bool parse_cli_args(int argc, const char* const* argv, CliArgs& out) {
+  auto split_csv = [](const std::string& s) {
+    std::vector<std::string> v;
+    std::string cur;
+    for (char c : s) {
+      if (c == ',') {
+        if (!cur.empty()) v.push_back(cur);
+        cur.clear();
+      } else {
+        cur.push_back(c);
+      }
+    }
+    if (!cur.empty()) v.push_back(cur);
+    return v;
+  };
+  DeckOptions& opt = out.opt;
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    const bool has_value = i + 1 < argc;
+    if (a == "--probe" && has_value)
+      opt.probe_arg = argv[++i];
+    else if (a == "--lint-only")
+      opt.lint_only = true;
+    else if (a == "--lint")
+      opt.lint_json = true;
+    else if (a == "--lint-strict")
+      opt.lint_strict = true;
+    else if (a == "--range")
+      opt.range_json = true;
+    else if (a == "--lint-disable" && has_value)
+      opt.lint_disable = split_csv(argv[++i]);
+    else if (a == "--no-telemetry")
+      opt.telemetry = false;
+    else if (a == "--tran-stats")
+      opt.tran_stats = true;
+    else if (a == "--budget-ms" && has_value) {
+      opt.budget_ms = std::strtod(argv[++i], nullptr);
+      if (!std::isfinite(opt.budget_ms) || opt.budget_ms < 0.0) return false;
+    } else if (a == "--pss")
+      opt.pss = true;
+    else if (a == "--mc" && has_value) {
+      const double v = std::strtod(argv[++i], nullptr);
+      if (!count_in_range(v, kMaxDirectivePoints)) return false;
+      opt.mc = static_cast<int>(v);
+    } else if (a == "--mc-seed" && has_value) {
+      const double v = std::strtod(argv[++i], nullptr);
+      if (!count_in_range(v, kMaxExactSeed)) return false;
+      opt.mc_seed = static_cast<std::uint64_t>(v);
+    } else if (a == "--jobs" && has_value)
+      out.jobs_path = argv[++i];
+    else if (a == "--no-result-cache")
+      opt.use_result_cache = false;
+    else if (a.size() > 1 && a[0] == '-')
+      return false;  // unknown option, or a known one missing its value
+    else if (!out.path.empty())
+      return false;  // a second deck path
+    else
+      out.path = a;
+  }
+  return !out.path.empty() || !out.jobs_path.empty();
 }
 
 BatchResult run_batch(const std::vector<std::string>& paths,

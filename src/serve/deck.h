@@ -24,6 +24,22 @@
 
 namespace msim::serve {
 
+// Most points (or time steps) one .dc/.ac/.noise/.tran directive may
+// request, and most Monte-Carlo samples one job may ask for; every deck
+// shipped with the project stays orders of magnitude below it.  A
+// degenerate request would otherwise pin a worker or exhaust memory
+// beyond the reach of cancel/budget checks.
+constexpr double kMaxDirectivePoints = 1e6;
+
+// Largest integer below which every double is an exact integer; an
+// mc_seed must stay under it to survive a JSON number round trip.
+constexpr double kMaxExactSeed = 9007199254740992.0;  // 2^53
+
+// True when `v` is a finite, non-negative integer below `cap`.  Counts
+// and seeds from outside the program (daemon requests, msim_cli
+// arguments) pass this before any integer conversion.
+bool count_in_range(double v, double cap);
+
 // Mirrors msim_cli's command-line options (minus the input path; the
 // deck travels as text).
 struct DeckOptions {
@@ -35,7 +51,6 @@ struct DeckOptions {
   bool telemetry = true;
   bool tran_stats = false;
   double budget_ms = 0.0;   // wall-clock budget (0 = unlimited)
-  int ensemble = 1;         // .tran lanes (> 1 = lockstep ensemble)
   bool pss = false;         // .tran -> shooting periodic steady state
   // Monte-Carlo job mode: > 1 turns every .op directive into an
   // N-sample MC over the deck (each sample re-parses the deck and
@@ -89,5 +104,21 @@ BatchResult run_batch(const std::vector<std::string>& paths,
 
 // Reads a whole file; false when unreadable.
 bool read_file(const std::string& path, std::string& out);
+
+// msim_cli's command line: the job options plus either one deck path or
+// a --jobs list.
+struct CliArgs {
+  DeckOptions opt;
+  std::string path;
+  std::string jobs_path;
+};
+
+// Parses argv[1..argc).  False on an unknown option, an option missing
+// its value, an --mc / --mc-seed outside count_in_range (caps
+// kMaxDirectivePoints / kMaxExactSeed), a non-finite or negative
+// --budget-ms, a second deck path, or neither a deck nor a job list;
+// msim_cli then prints its usage and exits 2 rather than reading a
+// stray argument as the deck.
+bool parse_cli_args(int argc, const char* const* argv, CliArgs& out);
 
 }  // namespace msim::serve

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 
 namespace msim::serve {
@@ -90,8 +91,20 @@ bool read_line_matching(int fd, std::string& pending,
   }
 }
 
-DeckOptions options_from_json(const Json& req) {
-  DeckOptions o;
+// Fills `o` from a submit request; returns the refusal message, or ""
+// when every field is usable.  Numeric fields arrive as doubles parsed
+// by strtod (inf, nan and 1e999 included), so each is range-checked
+// before any integer conversion.
+std::string options_from_json(const Json& req, DeckOptions& o) {
+  const double mc = req["mc"].as_number(0);
+  if (!count_in_range(mc, kMaxDirectivePoints))
+    return "\"mc\" must be an integer in [0, 1e6)";
+  const double seed = req["mc_seed"].as_number(1);
+  if (!count_in_range(seed, kMaxExactSeed))
+    return "\"mc_seed\" must be an integer in [0, 2^53)";
+  const double budget_ms = req["budget_ms"].as_number(0.0);
+  if (!std::isfinite(budget_ms) || budget_ms < 0.0)
+    return "\"budget_ms\" must be finite and non-negative";
   o.probe_arg = req["probe"].as_string();
   o.lint_only = req["lint_only"].as_bool(false);
   o.lint_json = req["lint"].as_bool(false);
@@ -99,14 +112,14 @@ DeckOptions options_from_json(const Json& req) {
   o.range_json = req["range"].as_bool(false);
   o.telemetry = req["telemetry"].as_bool(true);
   o.tran_stats = req["tran_stats"].as_bool(false);
-  o.ensemble = static_cast<int>(req["ensemble"].as_number(1));
+  o.budget_ms = budget_ms;
   o.pss = req["pss"].as_bool(false);
-  o.mc = static_cast<int>(req["mc"].as_number(0));
-  o.mc_seed = static_cast<std::uint64_t>(req["mc_seed"].as_number(1));
+  o.mc = static_cast<int>(mc);
+  o.mc_seed = static_cast<std::uint64_t>(seed);
   o.use_result_cache = req["result_cache"].as_bool(true);
   for (const auto& d : req["lint_disable"].items())
     o.lint_disable.push_back(d.as_string());
-  return o;
+  return "";
 }
 
 }  // namespace
@@ -361,8 +374,19 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
     return;
   }
   std::string id = req["id"].as_string();
+  DeckOptions dopt;
+  const std::string bad = options_from_json(req, dopt);
+  if (!bad.empty()) {
+    Json r = Json::object();
+    r.set("ok", false);
+    r.set("op", "submit");
+    r.set("id", id);
+    r.set("error", bad);
+    send_line(conn, r);
+    return;
+  }
   auto ctl = std::make_shared<JobCtl>();
-  ctl->budget.max_wall_ms = req["budget_ms"].as_number(0.0);
+  ctl->budget.max_wall_ms = dopt.budget_ms;
   ctl->budget.cancel = &ctl->token;
   bool duplicate = false;
   {
@@ -396,7 +420,6 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
   send_line(conn, ack);
 
   const std::string deck = req["deck"].as_string();
-  DeckOptions dopt = options_from_json(req);
   scheduler_.submit([this, conn, ctl, id, deck,
                      dopt = std::move(dopt)]() mutable {
     dopt.budget = &ctl->budget;

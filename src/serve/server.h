@@ -8,13 +8,15 @@
 //   <- {"ok":true,"op":"ping"}
 //
 //   -> {"op":"submit","id":"j1","deck":"...netlist text...",
-//       "probe":"out","budget_ms":0,"ensemble":1,"pss":false,
+//       "probe":"out","budget_ms":0,"pss":false,
 //       "mc":0,"mc_seed":1,"tran_stats":false,"telemetry":true,
 //       "result_cache":true}
 //   <- {"ok":true,"op":"submit","id":"j1","status":"queued"}
 //      (an omitted id gets a daemon-generated one; an id that is
 //       already in flight is rejected with ok:false -- two live jobs
-//       under one id would make cancel and result lines ambiguous)
+//       under one id would make cancel and result lines ambiguous;
+//       so is an "mc" outside the integers [0, 1e6), an "mc_seed"
+//       outside [0, 2^53), or a non-finite or negative "budget_ms")
 //   ...job runs on a scheduler worker...
 //   <- {"op":"result","id":"j1","exit_code":0,"warm":true,
 //       "cached":false,"out":"...","err":"..."}

@@ -14,7 +14,9 @@
 #include "analysis/noise.h"
 #include "analysis/op.h"
 #include "bench_util.h"
+#include "core/mic_amp.h"
 #include "core/parallel.h"
+#include "devices/sources.h"
 #include "numeric/rng.h"
 #include "process/process.h"
 
@@ -192,6 +194,54 @@ TEST(NoiseParallel, SpectrumBitIdenticalToSerial) {
     EXPECT_EQ(rs.points[k].s_out, rp.points[k].s_out);
     EXPECT_EQ(rs.points[k].s_in, rp.points[k].s_in);
     EXPECT_EQ(rs.points[k].gain_mag, rp.points[k].gain_mag);
+  }
+}
+
+// Structure-shared Monte-Carlo driver: same statistics contract as
+// monte_carlo_diag (bit-identical across thread counts) while adopting
+// the sample-0 solver cache everywhere.
+TEST(MonteCarloParallel, SharedDeterministicAcrossThreads) {
+  const auto pm = proc::ProcessModel::cmos12();
+  auto build = [&pm](num::Rng& srng, ckt::Netlist& nl) {
+    const auto nvdd = nl.node("vdd");
+    const auto nvss = nl.node("vss");
+    const auto inp = nl.node("inp");
+    const auto inn = nl.node("inn");
+    nl.add<dev::VSource>("Vdd", nvdd, ckt::kGround, 1.3);
+    nl.add<dev::VSource>("Vss", nvss, ckt::kGround, -1.3);
+    nl.add<dev::VSource>("Vinp", inp, ckt::kGround, 0.0);
+    nl.add<dev::VSource>("Vinn", inn, ckt::kGround, 0.0);
+    auto mic = core::build_mic_amp(nl, pm, {}, nvdd, nvss, ckt::kGround,
+                                   inp, inn);
+    for (auto* seg : mic.string_segments_p)
+      seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
+    for (auto* seg : mic.string_segments_n)
+      seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
+    mic.set_gain_code(5);
+  };
+  auto measure = [](ckt::Netlist& nl) {
+    an::OpOptions oo;
+    const auto op = an::solve_op(nl, oo);
+    if (!op.converged) return an::McTrial::failed(op.diag);
+    return an::McTrial::of(op.x[0]);
+  };
+
+  an::McStats ref;
+  for (int threads : {1, 2, 8}) {
+    num::Rng rng(42);
+    an::McOptions mo;
+    mo.threads = threads;
+    const auto st =
+        an::monte_carlo_shared(12, rng, build, measure, mo);
+    EXPECT_EQ(st.failures, 0);
+    ASSERT_EQ(st.samples.size(), 12u);
+    if (threads == 1) {
+      ref = st;
+      EXPECT_GT(st.stddev(), 0.0);  // perturbations actually vary
+    } else {
+      for (std::size_t i = 0; i < ref.samples.size(); ++i)
+        EXPECT_EQ(st.samples[i], ref.samples[i]) << "threads=" << threads;
+    }
   }
 }
 

@@ -1,13 +1,16 @@
 // Serve layer: JSON protocol codec, the cross-request solver-cache
 // registry (adopt/publish/collision-guard/LRU), the shared deck runner
 // (CLI-equivalent bytes, warm zero-search repeats, whole-result memo,
-// Monte-Carlo mode), the work-stealing scheduler (bit-identity at any
-// worker count) and the Unix-socket daemon end to end.
+// Monte-Carlo mode), msim_cli's argument parser, the work-stealing
+// scheduler (bit-identity at any worker count) and the Unix-socket
+// daemon end to end (including refusal of out-of-range request fields).
 //
 // Run under TSan by tools/run_static_checks.sh: the concurrent
 // adopt/evict stress and the daemon smoke are the data-race gates for
 // the shared-immutable cache design.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -116,6 +119,29 @@ std::string strip_timing(const std::string& s) {
     pos = nl + 1;
   }
   return out;
+}
+
+// Sends one raw request line and parses the reply line: puts bytes on
+// the wire that Json::dump never writes (inf, nan, 1e999).
+Json raw_request(const std::string& socket_path, const std::string& line) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return Json();
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s",
+                socket_path.c_str());
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof addr) == 0) {
+    const std::string msg = line + "\n";
+    if (::write(fd, msg.data(), msg.size()) ==
+        static_cast<ssize_t>(msg.size())) {
+      char c = 0;
+      while (::read(fd, &c, 1) == 1 && c != '\n') reply.push_back(c);
+    }
+  }
+  ::close(fd);
+  return Json::parse(reply);
 }
 
 DeckResult run_no_memo(const std::string& deck, CacheRegistry* reg,
@@ -419,14 +445,18 @@ TEST(ServeDeck, TranAcNoiseRejectDegenerateGrids) {
   // A zero or non-finite .tran step never reaches stop (the worker
   // pins like a degenerate .dc), and a NaN/huge points-per-decade value
   // reaching the int cast is undefined behaviour: all refused up front,
-  // as is any grid or step count past the cap.
+  // as is any grid or step count past the cap, a fractional points per
+  // decade (SPICE's dec N is an integer; it used to be truncated) and a
+  // stop frequency below start (it used to run a descending grid).
   for (const char* bad :
        {".tran 0 1m\n", ".tran -1u 1m\n", ".tran 1u 0\n", ".tran nan 1m\n",
         ".tran 1u inf\n", ".tran 1e-12 1\n", ".ac dec 10 0 1e6\n",
         ".ac dec 0 10 1e6\n", ".ac dec nan 10 1e6\n", ".ac dec 10 10 inf\n",
         ".ac dec 1e12 10 1e6\n", ".ac dec 10 -1 1e6\n",
         ".noise out v1 dec 10 0 1e6\n", ".noise out v1 dec nan 10 1e6\n",
-        ".noise out v1 dec 1e9 1 1e6\n"}) {
+        ".noise out v1 dec 1e9 1 1e6\n", ".ac dec 0.5 10 1e6\n",
+        ".ac dec 10 1e6 10\n", ".noise out v1 dec 2.5 10 1e6\n",
+        ".noise out v1 dec 10 1e6 10\n"}) {
     const DeckResult r = serve::run_deck(rc(bad), {}, nullptr);
     EXPECT_EQ(r.exit_code, 1) << bad;
     EXPECT_NE(r.err.find("error:"), std::string::npos) << bad << r.err;
@@ -440,6 +470,57 @@ TEST(ServeDeck, TranAcNoiseRejectDegenerateGrids) {
     EXPECT_NE(r.out.find("\n1"), std::string::npos) << good << r.out;
     EXPECT_EQ(r.out.find("nan,"), std::string::npos) << good << r.out;
     EXPECT_EQ(r.out.find(",-nan"), std::string::npos) << good << r.out;
+  }
+}
+
+// -------------------------------------------------------------------
+// msim_cli's argument parser.
+
+TEST(ServeCli, ParsesOptionsAndOneDeck) {
+  const char* argv[] = {"msim_cli",  "deck.sp", "--probe",   "out,mid",
+                        "--mc",      "8",       "--mc-seed", "5",
+                        "--tran-stats", "--no-telemetry"};
+  serve::CliArgs a;
+  ASSERT_TRUE(serve::parse_cli_args(10, argv, a));
+  EXPECT_EQ(a.path, "deck.sp");
+  EXPECT_TRUE(a.jobs_path.empty());
+  EXPECT_EQ(a.opt.probe_arg, "out,mid");
+  EXPECT_EQ(a.opt.mc, 8);
+  EXPECT_EQ(a.opt.mc_seed, 5u);
+  EXPECT_TRUE(a.opt.tran_stats);
+  EXPECT_FALSE(a.opt.telemetry);
+
+  const char* jobs[] = {"msim_cli", "--jobs", "list.txt"};
+  serve::CliArgs b;
+  ASSERT_TRUE(serve::parse_cli_args(3, jobs, b));
+  EXPECT_EQ(b.jobs_path, "list.txt");
+}
+
+// An unknown option, an option missing its value, an out-of-range
+// count, seed or budget, a second deck path or no input at all is
+// refused (msim_cli prints its usage and exits 2) instead of being read
+// as the deck path or cast past its range.
+TEST(ServeCli, RefusesUnknownOptionsAndStrayPaths) {
+  const std::vector<std::vector<const char*>> bad = {
+      {"msim_cli"},
+      {"msim_cli", "deck.sp", "--bogus"},
+      {"msim_cli", "--ensemble", "4", "deck.sp"},
+      {"msim_cli", "a.sp", "b.sp"},
+      {"msim_cli", "deck.sp", "--probe"},
+      {"msim_cli", "-x", "deck.sp"},
+      {"msim_cli", "deck.sp", "--mc", "-1"},
+      {"msim_cli", "deck.sp", "--mc", "1e8"},
+      {"msim_cli", "deck.sp", "--mc", "99999999999"},
+      {"msim_cli", "deck.sp", "--mc-seed", "1.5"},
+      {"msim_cli", "deck.sp", "--mc-seed", "inf"},
+      {"msim_cli", "deck.sp", "--budget-ms", "nan"},
+      {"msim_cli", "deck.sp", "--budget-ms", "-5"},
+  };
+  for (const auto& argv : bad) {
+    serve::CliArgs a;
+    EXPECT_FALSE(serve::parse_cli_args(static_cast<int>(argv.size()),
+                                       argv.data(), a))
+        << argv.back();
   }
 }
 
@@ -909,6 +990,57 @@ TEST(ServeSmoke, DuplicateIdsRejectedAndConnectionsReaped) {
   }
   EXPECT_LE(conns, 1.0);
   EXPECT_EQ(completed, 1.0);  // the rejected duplicate never ran
+
+  server.shutdown();
+  runner.join();
+}
+
+// Numeric request fields arrive as strtod doubles; a non-finite,
+// negative, fractional or over-cap count must be refused with ok:false
+// before any integer conversion, and the daemon keeps serving.  (A bare
+// `nan` already fails the JSON parse; `-nan`, `inf` and `1e999` reach
+// strtod.)
+TEST(ServeSmoke, OutOfRangeNumericFieldsRefused) {
+  serve::ServerOptions so;
+  so.socket_path = ::testing::TempDir() + "msim_serve_num_" +
+                   std::to_string(::getpid()) + ".sock";
+  so.workers = 1;
+  serve::Server server(so);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  std::thread runner([&] { server.run(); });
+
+  const std::string head = "{\"op\":\"submit\",\"deck\":" +
+                           Json(kOpDeck).dump() + ",";
+  for (const char* bad :
+       {"\"mc\":inf", "\"mc\":-nan", "\"mc\":nan", "\"mc\":1e999",
+        "\"mc\":-1", "\"mc\":2.5", "\"mc\":1e6", "\"mc\":1e8",
+        "\"mc_seed\":inf", "\"mc_seed\":-nan", "\"mc_seed\":-1",
+        "\"mc_seed\":1.5", "\"mc_seed\":1e300", "\"budget_ms\":-nan",
+        "\"budget_ms\":nan", "\"budget_ms\":inf", "\"budget_ms\":-1"}) {
+    const Json r = raw_request(so.socket_path, head + bad + "}");
+    EXPECT_TRUE(r.is_object()) << bad;
+    EXPECT_FALSE(r["ok"].as_bool(true)) << bad << " -> " << r.dump();
+    EXPECT_FALSE(r["error"].as_string().empty()) << bad;
+  }
+
+  // The daemon still runs a well-formed MC job, and no refused request
+  // was counted as submitted.
+  Json good = Json::object();
+  good.set("op", "submit");
+  good.set("deck", kOpDeck);
+  good.set("mc", 4);
+  good.set("mc_seed", 9007199254740991.0);  // 2^53 - 1
+  good.set("probe", "out");
+  std::string out, errs;
+  EXPECT_EQ(serve::submit_and_wait(so.socket_path, good, out, errs, &err),
+            0)
+      << err << errs;
+  EXPECT_NE(out.find("mc"), std::string::npos) << out;
+  Json statreq = Json::object();
+  statreq.set("op", "stats");
+  const Json st = serve::request(so.socket_path, statreq, &err);
+  EXPECT_EQ(st["jobs"]["submitted"].as_number(0), 1.0) << st.dump();
 
   server.shutdown();
   runner.join();

@@ -1,17 +1,23 @@
 // Transient factorization-reuse tests: modified Newton vs. full Newton
 // on the class-AB buffer, the linear fast path's one-factorization
-// contract, and the determinism of run_transient_sweep across thread
-// counts.
+// contract, the determinism of run_transient_sweep across thread
+// counts, and the structure-shared Monte-Carlo sweep (cache adopted and
+// OP seeded from case 0).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/transient.h"
 #include "bench_util.h"
 #include "circuit/netlist.h"
+#include "core/mic_amp.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
+#include "numeric/rng.h"
+#include "process/process.h"
 
 namespace {
 
@@ -143,6 +149,163 @@ TEST(TransientReuse, SweepBitIdenticalAcrossThreadCounts) {
         for (std::size_t u = 0; u < base[i].x[k].size(); ++u)
           EXPECT_EQ(got[i].x[k][u], base[i].x[k][u])
               << "threads=" << threads << " case " << i << " step " << k;
+    }
+  }
+}
+
+// Mic-amp tone rig, Monte-Carlo style: sample i perturbs both resistor
+// strings with the process mismatch sigma from a per-sample RNG stream
+// pre-derived from the index (configure must depend only on i).
+an::TranOptions mic_tran_options() {
+  an::TranOptions t;
+  t.t_stop = 0.2e-3;
+  t.dt = 2e-6;
+  return t;
+}
+
+void configure_mic_sample(std::size_t i, ckt::Netlist& nl,
+                          an::TranOptions& t) {
+  const auto pm = proc::ProcessModel::cmos12();
+  const auto nvdd = nl.node("vdd");
+  const auto nvss = nl.node("vss");
+  const auto inp = nl.node("inp");
+  const auto inn = nl.node("inn");
+  nl.add<dev::VSource>("Vdd", nvdd, ckt::kGround, 1.3);
+  nl.add<dev::VSource>("Vss", nvss, ckt::kGround, -1.3);
+  nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
+                       dev::Waveform::sine(0.0, 1e-3, 1e3));
+  nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
+                       dev::Waveform::sine(0.0, -1e-3, 1e3));
+  auto mic = core::build_mic_amp(nl, pm, {}, nvdd, nvss, ckt::kGround,
+                                 inp, inn);
+  num::Rng srng(1000 + 17 * static_cast<std::uint64_t>(i));
+  for (auto* seg : mic.string_segments_p)
+    seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
+  for (auto* seg : mic.string_segments_n)
+    seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
+  mic.set_gain_code(5);
+  t = mic_tran_options();
+}
+
+void expect_bit_identical(const an::TranResult& a, const an::TranResult& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.ok, b.ok) << what;
+  ASSERT_EQ(a.time.size(), b.time.size()) << what;
+  ASSERT_EQ(a.x.size(), b.x.size()) << what;
+  for (std::size_t k = 0; k < a.x.size(); ++k) {
+    EXPECT_EQ(a.time[k], b.time[k]) << what << " step " << k;
+    ASSERT_EQ(a.x[k].size(), b.x[k].size());
+    for (std::size_t u = 0; u < a.x[k].size(); ++u)
+      EXPECT_EQ(a.x[k][u], b.x[k][u])
+          << what << " step " << k << " unknown " << u;
+  }
+}
+
+// The sweep-level structural-sharing hoist: share_structure must keep
+// the thread-determinism contract and agree with the unshared sweep to
+// solver tolerance (the shared pivot order was chosen on case 0).
+TEST(TransientReuse, SweepShareStructureMatchesUnshared) {
+  constexpr std::size_t kCases = 4;
+  an::TranSweepOptions plain;
+  plain.threads = 1;
+  const auto base =
+      an::run_transient_sweep(kCases, configure_mic_sample, plain);
+
+  an::TranSweepOptions shared;
+  shared.threads = 1;
+  shared.share_structure = true;
+  const auto got =
+      an::run_transient_sweep(kCases, configure_mic_sample, shared);
+  ASSERT_EQ(got.size(), kCases);
+  for (std::size_t i = 0; i < kCases; ++i) {
+    ASSERT_TRUE(base[i].ok);
+    ASSERT_TRUE(got[i].ok) << got[i].diag.message();
+    ASSERT_EQ(got[i].x.size(), base[i].x.size());
+    for (std::size_t k = 0; k < base[i].x.size(); ++k)
+      for (std::size_t u = 0; u < base[i].x[k].size(); ++u)
+        EXPECT_NEAR(got[i].x[k][u], base[i].x[k][u], 1e-6)
+            << "case " << i << " step " << k;
+  }
+
+  // Determinism across thread counts with sharing on.
+  an::TranSweepOptions shared8 = shared;
+  shared8.threads = 8;
+  shared8.chunk = 1;
+  const auto got8 =
+      an::run_transient_sweep(kCases, configure_mic_sample, shared8);
+  for (std::size_t i = 0; i < kCases; ++i)
+    expect_bit_identical(got8[i], got[i],
+                         "shared sweep case " + std::to_string(i));
+}
+
+// Full-chip Monte-Carlo transient sample: every resistor takes the
+// process mismatch from a per-sample RNG stream pre-derived from the
+// index, with a 1 mV differential tone at the microphone inputs.
+void configure_chip_sample(std::size_t i, ckt::Netlist& nl,
+                           an::TranOptions& t) {
+  const auto pm = proc::ProcessModel::cmos12();
+  auto parts = bench::build_chip_into(nl);
+  num::Rng srng(2000 + 31 * static_cast<std::uint64_t>(i));
+  for (const auto& d : nl.devices())
+    if (auto* res = dynamic_cast<dev::Resistor*>(d.get()))
+      res->apply_relative_error(pm.sample_resistor_mismatch(srng));
+  parts.vinp->set_waveform(dev::Waveform::sine(0.0, 1e-3, 1e3));
+  parts.vinn->set_waveform(dev::Waveform::sine(0.0, -1e-3, 1e3));
+  t.t_stop = 0.1e-3;
+  t.dt = 2e-6;
+}
+
+// The shared sweep starts every later case's OP Newton from case 0's
+// converged OP: a perturbed chip sample converges in a few iterations
+// where case 0 (and every unshared case) climbs the full homotopy
+// ladder.  The seed is case 0's at any thread count, so results stay
+// bit-identical across thread counts, and every converged waveform
+// agrees with the cold, unshared sweep to solver tolerance.
+TEST(TransientReuse, SharedSweepSeedsChipOperatingPointsFromCaseZero) {
+  constexpr std::size_t kCases = 4;
+  an::TranSweepOptions plain;
+  plain.threads = 1;
+  const auto base =
+      an::run_transient_sweep(kCases, configure_chip_sample, plain);
+
+  an::TranSweepOptions shared;
+  shared.threads = 1;
+  shared.share_structure = true;
+  const auto got =
+      an::run_transient_sweep(kCases, configure_chip_sample, shared);
+  ASSERT_EQ(got.size(), kCases);
+  EXPECT_GT(got[0].telemetry.op_iterations, 100);
+  EXPECT_EQ(got[0].telemetry.op_iterations, base[0].telemetry.op_iterations);
+  for (std::size_t i = 0; i < kCases; ++i) {
+    ASSERT_TRUE(base[i].ok) << base[i].diag.message();
+    ASSERT_TRUE(got[i].ok) << got[i].diag.message();
+    ASSERT_FALSE(got[i].x_final.empty()) << "case " << i;
+    EXPECT_EQ(got[i].t_final, base[i].t_final) << "case " << i;
+    if (i > 0) {
+      EXPECT_LE(got[i].telemetry.op_iterations, 10) << "case " << i;
+      EXPECT_GT(base[i].telemetry.op_iterations, 100) << "case " << i;
+    }
+    ASSERT_EQ(got[i].x.size(), base[i].x.size());
+    for (std::size_t k = 0; k < base[i].x.size(); ++k)
+      for (std::size_t u = 0; u < base[i].x[k].size(); ++u)
+        EXPECT_NEAR(got[i].x[k][u], base[i].x[k][u], 1e-6)
+            << "case " << i << " step " << k << " unknown " << u;
+  }
+
+  for (int threads : {2, 8}) {
+    an::TranSweepOptions par = shared;
+    par.threads = threads;
+    par.chunk = 1;
+    const auto again =
+        an::run_transient_sweep(kCases, configure_chip_sample, par);
+    for (std::size_t i = 0; i < kCases; ++i) {
+      const std::string what =
+          "threads=" + std::to_string(threads) + " case " + std::to_string(i);
+      expect_bit_identical(again[i], got[i], what);
+      EXPECT_EQ(again[i].x_final, got[i].x_final) << what;
+      EXPECT_EQ(again[i].telemetry.op_iterations,
+                got[i].telemetry.op_iterations)
+          << what;
     }
   }
 }

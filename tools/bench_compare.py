@@ -24,7 +24,7 @@ import json
 import sys
 
 SECTIONS = ("mc_configs", "chip_mc_configs", "ac_grid_configs",
-            "transient_configs", "pss_configs", "ensemble_configs",
+            "transient_configs", "pss_configs", "mc_transient_configs",
             "budget_overhead", "assembly_configs", "serve_configs")
 CONTRACT_FLAGS = (
     "stats_bit_identical_across_threads",
@@ -69,16 +69,6 @@ def main():
         help="max fractional slowdown an armed-but-idle RunBudget may "
         "add to the transient benches (default 0.01: the cooperative "
         "cancellation polls must stay under 1%%)",
-    )
-    ap.add_argument(
-        "--ensemble-threshold",
-        type=float,
-        default=2.0,
-        help="min chip_ensemble_speedup_vs_per_sample the candidate "
-        "must report (default 2.0: the lockstep SoA engine must at "
-        "least double chip-settle MC throughput over the per-sample "
-        "path; ignored when the candidate predates the ensemble "
-        "section)",
     )
     ap.add_argument(
         "--pss-threshold",
@@ -242,37 +232,19 @@ def main():
                 f"{cfg['lookups_per_assembly']} pattern searches per "
                 f"assembly (slot replay must need zero)")
 
-    # Ensemble gate, judged absolutely on the candidate: every lockstep
-    # row must actually have run the lockstep engine, agree sample by
-    # sample with its per-sample baseline, and the chip-settle scenario
-    # must clear the throughput multiple the engine exists to deliver.
-    for cfg in cand.get("ensemble_configs", []):
+    # Monte-Carlo transient agreement, judged absolutely on the
+    # candidate: every row's per-sample finals must agree with its
+    # rig's unshared sweep (no speed multiple is gated).
+    for cfg in cand.get("mc_transient_configs", []):
         name = cfg.get("name", "?")
         marker = "ok"
-        if "ensemble" in name and not cfg.get("used_ensemble", False):
-            marker = "FELL BACK"
-            failures.append(f"ensemble_configs/{name}: lockstep engine "
-                            f"fell back to the per-sample path")
         if not cfg.get("finals_agree", False):
             marker = "DISAGREE"
-            failures.append(f"ensemble_configs/{name}: per-sample finals "
-                            f"disagree with the per-sample baseline")
-        print(f"  ensemble_configs/{name:<18} "
+            failures.append(f"mc_transient_configs/{name}: per-sample "
+                            f"finals disagree with the unshared sweep")
+        print(f"  mc_transient_configs/{name:<16} "
               f"{cfg.get('samples_per_sec', 0):8.1f} samples/s "
-              f"({cfg.get('speedup_vs_per_sample', 0):.2f}x) [{marker}]")
-    if "ensemble_configs" in cand:
-        chip_ens = cand.get("chip_ensemble_speedup_vs_per_sample")
-        if chip_ens is None:
-            failures.append("missing chip_ensemble_speedup_vs_per_sample")
-        else:
-            marker = "ok"
-            if chip_ens < args.ensemble_threshold:
-                marker = "TOO SLOW"
-                failures.append(
-                    f"chip ensemble speedup {chip_ens:.2f}x below "
-                    f"limit {args.ensemble_threshold:.2f}x")
-            print(f"  chip ensemble speedup {chip_ens:5.2f}x vs "
-                  f"per-sample [{marker}]")
+              f"({cfg.get('speedup_vs_unshared', 0):.2f}x) [{marker}]")
 
     # Serve gate, judged absolutely on the candidate: warm (memoized)
     # service must clear --serve-threshold times the cold one-shot

@@ -31,10 +31,6 @@
 // RunBudget: on expiry the analysis returns its structured partial
 // result (truncated waveform / solved grid prefix) and the CLI reports
 // the cut on stderr with exit code 4 instead of hanging.
-// `--ensemble N` runs each .tran as an N-lane lockstep ensemble (N
-// identical copies of the deck advanced together through
-// run_transient_ensemble); lane 0's waveform is reported, the ensemble
-// telemetry goes to stderr and rides the --tran-stats JSON.
 // `--pss` replaces each .tran with the shooting-Newton periodic
 // steady-state solve; the CSV holds exactly one coherent steady period.
 // `--mc N` turns each .op into an N-sample Monte-Carlo run (1% gaussian
@@ -47,12 +43,15 @@
 // exact job repeats return memoized results.  Exit code is the worst
 // job's; a per-batch summary goes to stderr.
 //
+// An unknown option, an option missing its value, an --mc outside the
+// integers [0, 1e6), an --mc-seed outside [0, 2^53), a non-finite or
+// negative --budget-ms, or a second deck path prints the usage and
+// exits 2.
+//
 // The execution core lives in src/serve/deck.cc (serve::run_deck),
 // shared verbatim with the msim_serve daemon: a daemon job's bytes are
 // this CLI's bytes by construction.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -62,21 +61,6 @@
 using namespace msim;
 
 namespace {
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
-}
 
 // Job list: one deck path per line; blank lines and '#' comments skip.
 bool read_job_list(const std::string& path, std::vector<std::string>& out) {
@@ -105,52 +89,20 @@ bool read_job_list(const std::string& path, std::vector<std::string>& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path, jobs_path;
-  serve::DeckOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--probe") == 0 && i + 1 < argc)
-      opt.probe_arg = argv[++i];
-    else if (std::strcmp(argv[i], "--lint-only") == 0)
-      opt.lint_only = true;
-    else if (std::strcmp(argv[i], "--lint") == 0)
-      opt.lint_json = true;
-    else if (std::strcmp(argv[i], "--lint-strict") == 0)
-      opt.lint_strict = true;
-    else if (std::strcmp(argv[i], "--range") == 0)
-      opt.range_json = true;
-    else if (std::strcmp(argv[i], "--lint-disable") == 0 && i + 1 < argc)
-      opt.lint_disable = split_csv(argv[++i]);
-    else if (std::strcmp(argv[i], "--no-telemetry") == 0)
-      opt.telemetry = false;
-    else if (std::strcmp(argv[i], "--tran-stats") == 0)
-      opt.tran_stats = true;
-    else if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc)
-      opt.budget_ms = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "--ensemble") == 0 && i + 1 < argc)
-      opt.ensemble = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--pss") == 0)
-      opt.pss = true;
-    else if (std::strcmp(argv[i], "--mc") == 0 && i + 1 < argc)
-      opt.mc = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--mc-seed") == 0 && i + 1 < argc)
-      opt.mc_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      jobs_path = argv[++i];
-    else if (std::strcmp(argv[i], "--no-result-cache") == 0)
-      opt.use_result_cache = false;
-    else
-      path = argv[i];
-  }
-  if (path.empty() && jobs_path.empty()) {
+  serve::CliArgs args;
+  if (!serve::parse_cli_args(argc, argv, args)) {
     std::fprintf(stderr,
                  "usage: msim_cli <netlist.sp> [--probe n1,n2,...] "
                  "[--lint] [--lint-only] [--lint-strict] [--range] "
                  "[--lint-disable p1,p2,...] [--no-telemetry] "
-                 "[--tran-stats] [--budget-ms N] [--ensemble N] "
+                 "[--tran-stats] [--budget-ms N] "
                  "[--pss] [--mc N] [--mc-seed K]\n"
                  "       msim_cli --jobs list.txt [job options]\n");
     return 2;
   }
+  const serve::DeckOptions& opt = args.opt;
+  const std::string& path = args.path;
+  const std::string& jobs_path = args.jobs_path;
 
   if (!jobs_path.empty()) {
     std::vector<std::string> paths;

@@ -13,7 +13,7 @@
 //   msim_serve --socket S --stats                 registry/scheduler JSON
 //   msim_serve --socket S --shutdown
 //   msim_serve --socket S --submit deck.sp [--probe n1,n2] [--mc N]
-//              [--mc-seed K] [--ensemble N] [--pss] [--tran-stats]
+//              [--mc-seed K] [--pss] [--tran-stats]
 //              [--no-telemetry] [--budget-ms N] [--no-result-cache]
 // --submit sends the deck text, waits for the result message, replays
 // the job's stdout/stderr locally and exits with the job's exit code --
@@ -37,7 +37,7 @@ int usage() {
       "usage: msim_serve --socket PATH [--workers N] [--cache-mb M]\n"
       "       msim_serve --socket PATH --ping | --stats | --shutdown\n"
       "       msim_serve --socket PATH --submit deck.sp [job options]\n"
-      "job options: --probe n1,n2,... --mc N --mc-seed K --ensemble N\n"
+      "job options: --probe n1,n2,... --mc N --mc-seed K\n"
       "             --pss --tran-stats --no-telemetry --budget-ms N\n"
       "             --no-result-cache\n");
   return 2;
@@ -88,8 +88,6 @@ int main(int argc, char** argv) {
       job.set("mc", std::atoi(argv[++i]));
     else if (std::strcmp(argv[i], "--mc-seed") == 0 && i + 1 < argc)
       job.set("mc_seed", std::atof(argv[++i]));
-    else if (std::strcmp(argv[i], "--ensemble") == 0 && i + 1 < argc)
-      job.set("ensemble", std::atoi(argv[++i]));
     else if (std::strcmp(argv[i], "--pss") == 0)
       job.set("pss", true);
     else if (std::strcmp(argv[i], "--tran-stats") == 0)

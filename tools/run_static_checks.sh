@@ -5,9 +5,9 @@
 # tests walk -- failed factorizations, budget aborts, NaN injection,
 # shooting-PSS restarts and boundary solves -- are exactly where
 # lifetime bugs hide) and the concurrency suites
-# under ThreadSanitizer (the worker pool, the lockstep ensemble, and
-# the serve registry / job scheduler are the places the engine shares
-# mutable state across threads).
+# under ThreadSanitizer (the worker pool, the structure-shared
+# Monte-Carlo sweeps, and the serve registry / job scheduler are the
+# places the engine shares mutable state across threads).
 # Intended as a CI gate:
 #
 #   tools/run_static_checks.sh [--require-tools] [build-dir]
@@ -51,11 +51,13 @@ missing_tool() {
 # Build the robustness suites with -fsanitize=address,undefined in a
 # dedicated build tree and run them via ctest.  Only the fault-driving
 # suites run here: they deliberately walk every recovery path (failed
-# factorizations, budget aborts, NaN injection, ensemble lane faults),
-# so they give the sanitizers the best coverage per second.  test_sparse
-# and test_assembly join them: they drive the dense and searched
-# reference engines (tests/dense_oracle.h) over the fault netlists and
-# the paper's circuits.
+# factorizations, budget aborts, NaN injection), so they give the
+# sanitizers the best coverage per second.  test_sparse and
+# test_assembly join them: they drive the dense and searched reference
+# engines (tests/dense_oracle.h) over the fault netlists and the paper's
+# circuits.  test_transient_reuse and test_parallel add the
+# structure-shared Monte-Carlo sweeps (cache adopted from sample 0, OP
+# seeded from its solution) at 1-8 threads.
 run_sanitized_faults() {
   local san_dir="$repo_root/build-asan-ubsan"
   if ! command -v cmake >/dev/null 2>&1 || ! command -v ctest >/dev/null 2>&1; then
@@ -72,19 +74,21 @@ run_sanitized_faults() {
     return 0
   }
   cmake --build "$san_dir" -j "$(nproc 2>/dev/null || echo 2)" \
-        --target test_robustness test_op_robustness test_ensemble \
-                 test_pss test_serve test_sparse test_assembly \
+        --target test_robustness test_op_robustness test_transient_reuse \
+                 test_parallel test_pss test_serve test_sparse test_assembly \
         >/dev/null || return 1
   (cd "$san_dir" && ctest --output-on-failure \
-        -R '^(test_robustness|test_op_robustness|test_ensemble|test_pss|test_serve|serve_smoke|test_sparse|test_assembly)$') \
+        -R '^(test_robustness|test_op_robustness|test_transient_reuse|test_parallel|test_pss|test_serve|serve_smoke|test_sparse|test_assembly)$') \
     || return 1
   echo "run_static_checks: sanitized fault suites clean" >&2
   return 0
 }
 
 # ---- ThreadSanitizer concurrency suites ------------------------------
-# The worker pool (test_parallel), the lockstep multi-lane ensemble
-# (test_ensemble), and the serve registry + work-stealing job scheduler
+# The worker pool and the structure-shared MC driver (test_parallel),
+# the structure-shared, OP-seeded transient sweep run at 2 and 8
+# threads (test_transient_reuse), and the serve registry + work-stealing
+# job scheduler
 # + daemon (test_serve, incl. the ServeStress concurrent adopt/publish/
 # evict churn) are the code paths that share mutable state across
 # threads; run exactly those under -fsanitize=thread.  TSan and ASan
@@ -105,10 +109,10 @@ run_tsan_suites() {
     return 0
   }
   cmake --build "$tsan_dir" -j "$(nproc 2>/dev/null || echo 2)" \
-        --target test_ensemble test_parallel test_serve \
+        --target test_transient_reuse test_parallel test_serve \
         >/dev/null || return 1
   (cd "$tsan_dir" && ctest --output-on-failure \
-        -R '^(test_ensemble|test_parallel|test_serve|serve_smoke)$') || return 1
+        -R '^(test_transient_reuse|test_parallel|test_serve|serve_smoke)$') || return 1
   echo "run_static_checks: tsan concurrency suites clean" >&2
   return 0
 }
